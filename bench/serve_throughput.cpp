@@ -5,11 +5,12 @@
 //   1. ingest: N producer threads Offer() synthetic events into a
 //      TraceIngestor while one consumer drains, reporting sustained
 //      events/sec and the drop count under the bounded queue.
-//   2. reads_under_retrain: a reader hammers snapshot()->ForecastCluster()
-//      while a trainer thread runs back-to-back RetrainOnce() cycles. Every
-//      read is timed; p50/p99 come from the full distribution and the count
-//      of reads completed *while a retrain was in flight* demonstrates that
-//      the snapshot read path never blocks on training.
+//   2. reads_under_retrain: a reader hammers snapshot(0)->ForecastCluster()
+//      on a one-shard ShardedForecastService while a trainer thread offers a
+//      fresh bin and runs a scheduler cycle (RetrainCycle), back to back.
+//      Every read is timed; p50/p99 come from the full distribution and the
+//      count of reads completed *while a retrain was in flight* demonstrates
+//      that the snapshot read path never blocks on training.
 //   3. fault_hook: per-iteration cost of a DBAUGUR_FAULT_POINT with no
 //      schedule installed, against an identical loop without the hook. The
 //      run FAILS (exit 1) if the disabled hook costs more than
@@ -32,7 +33,7 @@
 #include "bench_util.h"
 #include "common/fault_injection.h"
 #include "serve/ingestor.h"
-#include "serve/service.h"
+#include "serve/sharded_service.h"
 
 namespace dbaugur::bench {
 namespace {
@@ -110,7 +111,9 @@ struct ReadResult {
 
 ReadResult RunReadsUnderRetrain(bool smoke) {
   ReadResult r;
-  serve::ServeOptions opts;
+  serve::ShardedServeOptions sopts;
+  sopts.shard_count = 1;
+  serve::ServeOptions& opts = sopts.shard;
   opts.pipeline.clustering.radius = 6.0;
   opts.pipeline.clustering.min_size = 2;
   opts.pipeline.clustering.dtw.window = 4;
@@ -120,17 +123,20 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
   opts.pipeline.forecaster.epochs = smoke ? 2 : 8;
   opts.pipeline.forecaster.batch_size = 16;
   opts.bin_interval_seconds = kInterval;
-  serve::ForecastService svc(opts);
+  serve::ShardedForecastService svc(sopts);
 
   // Seed enough history to train, then publish generation 1 synchronously.
-  const int64_t bins = smoke ? 16 : 48;
-  for (int64_t b = 0; b < bins; ++b) {
+  // Every cycle needs fresh traffic: the scheduler only retrains a shard
+  // with queued events.
+  auto offer_bin = [&svc](int64_t b) {
     for (uint32_t t = 0; t < 3; ++t) {
       double phase = static_cast<double>(b) * 0.4 + t;
       svc.Offer({t, b * kInterval, 50.0 + 20.0 * std::sin(phase)});
     }
-  }
-  if (!svc.RetrainOnce().ok() || svc.generation() == 0) {
+  };
+  const int64_t bins = smoke ? 16 : 48;
+  for (int64_t b = 0; b < bins; ++b) offer_bin(b);
+  if (svc.RetrainCycle().empty() || svc.shard(0).generation() == 0) {
     std::fprintf(stderr, "serve_throughput: warm-up retrain failed\n");
     return r;
   }
@@ -141,12 +147,13 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
   double retrain_total_s = 0.0;
   std::thread trainer([&] {
     for (int i = 0; i < retrain_cycles; ++i) {
+      offer_bin(bins + i);
       double t0 = NowSeconds();
       retrain_active.store(true, std::memory_order_release);
-      Status st = svc.RetrainOnce();
+      (void)svc.RetrainCycle();
       retrain_active.store(false, std::memory_order_release);
       retrain_total_s += NowSeconds() - t0;
-      if (!st.ok()) break;
+      if (svc.shard(0).consecutive_failures() != 0) break;
     }
     done.store(true, std::memory_order_release);
   });
@@ -157,7 +164,7 @@ ReadResult RunReadsUnderRetrain(bool smoke) {
   while (!done.load(std::memory_order_acquire)) {
     bool in_retrain = retrain_active.load(std::memory_order_acquire);
     double t0 = NowSeconds();
-    auto snap = svc.snapshot();
+    auto snap = svc.snapshot(0);
     auto f = snap->ForecastCluster(0);
     double t1 = NowSeconds();
     if (f.ok()) sink += *f;

@@ -1,7 +1,11 @@
 #include "chaos/harness.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <string>
@@ -11,13 +15,14 @@
 #include "chaos/oracle.h"
 #include "chaos/partition.h"
 #include "cluster/descender.h"
+#include "common/binio.h"
 #include "common/fault_injection.h"
 #include "dbsim/bustracker_db.h"
 #include "dbsim/query.h"
 #include "dbsim/replay.h"
 #include "migrate/load_balancer.h"
-#include "serve/service.h"
 #include "serve/sharded_service.h"
+#include "serve/snapshot.h"
 #include "trace/extractor.h"
 
 namespace dbaugur::chaos {
@@ -107,8 +112,8 @@ class ChaosRun {
     if (!Stage("template", TemplateLeg())) return report_;
     if (!Stage("events", EventsLeg())) return report_;
     if (!Stage("cluster", ClusterLeg())) return report_;
-    if (opts_.full_service && !Stage("service", ServiceLeg())) return report_;
-    if (opts_.service_shards > 1 && !Stage("sharded", ShardedLeg())) {
+    if ((opts_.full_service || opts_.service_shards > 1) &&
+        !Stage("service", ServiceLeg())) {
       return report_;
     }
     if (opts_.replay && !Stage("replay", ReplayLeg())) return report_;
@@ -386,10 +391,11 @@ class ChaosRun {
     return Status::OK();
   }
 
-  // ---- service: full ForecastService with save → load → resume ------------
+  // ---- service: ShardedForecastService with save → load → resume ---------
 
-  serve::ServeOptions MakeServeOptions() const {
-    serve::ServeOptions so;
+  serve::ShardedServeOptions MakeServiceOptions() const {
+    serve::ShardedServeOptions sso;
+    serve::ServeOptions& so = sso.shard;
     so.pipeline.clustering.radius = 6.0;
     so.pipeline.clustering.min_size = 2;
     so.pipeline.clustering.dtw.window = 4;
@@ -397,7 +403,7 @@ class ChaosRun {
     so.pipeline.top_k = 3;
     so.pipeline.forecaster.window = 6;
     so.pipeline.forecaster.horizon = 1;
-    so.pipeline.forecaster.epochs = 2;  // harness smoke, not accuracy
+    so.pipeline.forecaster.epochs = 1;  // the oracles need no accuracy
     so.pipeline.forecaster.batch_size = 8;
     so.queue_capacity = opts_.queue_capacity;
     so.max_templates = opts_.max_templates;
@@ -407,257 +413,245 @@ class ChaosRun {
     so.min_timestamp_seconds = opts_.min_timestamp_seconds;
     so.max_timestamp_seconds = opts_.max_timestamp_seconds;
     so.seed = opts_.stream.seed;
-    return so;
+    sso.shard_count = std::max<size_t>(1, opts_.service_shards);
+    sso.retrain_workers = std::max<size_t>(1, opts_.service_workers);
+    sso.retrain_deadline_seconds = opts_.retrain_deadline_seconds;
+    sso.retrain_budget = opts_.retrain_budget;
+    return sso;
   }
 
-  /// Per-publish invariants: generation never goes backwards, no NaN/Inf
-  /// escapes the published snapshot.
-  Status ServiceInvariants(const serve::ForecastService& svc,
-                           uint64_t* last_gen) const {
-    const uint64_t gen = svc.generation();
-    if (gen < *last_gen) {
-      return Fail("snapshot generation went backwards: " +
-                  std::to_string(*last_gen) + " -> " + std::to_string(gen));
+  /// One service under test plus what its invariants track across cycles.
+  struct ServiceRun {
+    explicit ServiceRun(const serve::ShardedServeOptions& sso)
+        : svc(sso), last_gen(sso.shard_count, 0) {}
+    serve::ShardedForecastService svc;
+    std::vector<uint64_t> last_gen;  ///< Per-shard generation last seen.
+    uint64_t offered = 0;            ///< Events offered to this service.
+    uint64_t max_overload = 0;       ///< Highest overload level reached.
+    /// The shards each cycle retrained (sorted), since the checkpoint.
+    std::vector<std::vector<size_t>> retrained;
+  };
+
+  /// One scheduler cycle, then the per-shard invariants: generation never
+  /// goes backwards, no NaN/Inf escapes a published snapshot.
+  Status CycleAndCheck(ServiceRun* run) const {
+    std::vector<size_t> order = run->svc.RetrainCycle();
+    std::sort(order.begin(), order.end());
+    run->retrained.push_back(std::move(order));
+    run->max_overload =
+        std::max(run->max_overload, run->svc.Health().overload_level);
+    for (size_t s = 0; s < run->svc.shard_count(); ++s) {
+      const uint64_t gen = run->svc.shard(s).generation();
+      if (gen < run->last_gen[s]) {
+        return Fail("shard " + std::to_string(s) +
+                    " generation went backwards: " +
+                    std::to_string(run->last_gen[s]) + " -> " +
+                    std::to_string(gen));
+      }
+      run->last_gen[s] = gen;
+      auto snap = run->svc.snapshot(s);
+      if (snap == nullptr) {
+        return Fail("shard " + std::to_string(s) +
+                    " published a null snapshot");
+      }
+      DBAUGUR_RETURN_IF_ERROR(CheckSnapshotFinite(*snap));
     }
-    *last_gen = gen;
-    auto snap = svc.snapshot();
-    if (snap == nullptr) return Fail("service published a null snapshot");
-    return CheckSnapshotFinite(*snap);
+    return Status::OK();
   }
 
-  /// Offers events [begin, end), retraining every `chunk` events and after
-  /// the last one; checks invariants after every retrain. Retrain failures
-  /// are tolerated (not ignored: invariants still run) only under a fault
-  /// storm, where they are the injected behavior.
-  Status FeedService(serve::ForecastService* svc, size_t begin, size_t end,
-                     size_t chunk, uint64_t* last_gen,
-                     uint64_t* offered) const {
+  /// Offers events [begin, end) with a scheduler cycle every `chunk` events.
+  Status FeedService(ServiceRun* run, size_t begin, size_t end,
+                     size_t chunk) const {
     size_t since = 0;
     for (size_t i = begin; i < end; ++i) {
-      svc->Offer(events_[i]);
-      if (offered != nullptr) ++*offered;
+      run->svc.Offer(events_[i]);
+      ++run->offered;
       if (++since >= chunk) {
         since = 0;
-        Status st = svc->RetrainOnce();
-        if (!st.ok() && !fault::Active()) {
-          return Fail("retrain failed without a fault storm: " + st.message());
-        }
-        DBAUGUR_RETURN_IF_ERROR(ServiceInvariants(*svc, last_gen));
-      }
-    }
-    Status st = svc->RetrainOnce();
-    if (!st.ok() && !fault::Active()) {
-      return Fail("retrain failed without a fault storm: " + st.message());
-    }
-    return ServiceInvariants(*svc, last_gen);
-  }
-
-  Status ServiceLeg() {
-    if (events_.empty()) return Status::OK();
-    const serve::ServeOptions so = MakeServeOptions();
-    const size_t chunk = std::max<size_t>(1, events_.size() / 6);
-    const size_t mid = events_.size() / 2;
-
-    serve::ForecastService svc(so);
-    uint64_t last_gen = 0;
-    uint64_t offered = 0;
-    DBAUGUR_RETURN_IF_ERROR(
-        FeedService(&svc, 0, mid, chunk, &last_gen, &offered));
-    {
-      const serve::ServeStats stats = svc.stats();
-      if (stats.events_accepted + stats.events_dropped != offered) {
-        return Fail("service conservation: accepted " +
-                    std::to_string(stats.events_accepted) + " + dropped " +
-                    std::to_string(stats.events_dropped) + " != offered " +
-                    std::to_string(offered));
-      }
-    }
-
-    // Save at the midpoint, load into a second service, then feed both the
-    // identical tail with the identical retrain cadence.
-    auto blob = svc.Save();
-    if (!blob.ok()) {
-      if (fault::Active()) return Status::OK();  // injected save failure
-      return Fail("Save failed: " + blob.status().message());
-    }
-    serve::ForecastService restored(so);
-    Status load = restored.Load(*blob);
-    if (!load.ok()) {
-      if (fault::Active()) return Status::OK();  // injected load failure
-      return Fail("Load failed: " + load.message());
-    }
-    uint64_t restored_gen = restored.generation();
-    DBAUGUR_RETURN_IF_ERROR(
-        FeedService(&svc, mid, events_.size(), chunk, &last_gen, &offered));
-    DBAUGUR_RETURN_IF_ERROR(FeedService(&restored, mid, events_.size(), chunk,
-                                        &restored_gen, nullptr));
-    {
-      const serve::ServeStats stats = svc.stats();
-      if (stats.events_accepted + stats.events_dropped != offered) {
-        return Fail("service conservation after resume: accepted " +
-                    std::to_string(stats.events_accepted) + " + dropped " +
-                    std::to_string(stats.events_dropped) + " != offered " +
-                    std::to_string(offered));
-      }
-    }
-
-    // Resume equality: an uninterrupted run and a save→load→resume run must
-    // serve identical forecasts. Needs a fault-free run, and no stale-class
-    // skew in the stream: the ingestor's in-memory lateness reference is
-    // deliberately not part of the blob, so bursty-skewed streams may
-    // legitimately diverge on post-restore stale drops.
-    if (fault::Active() ||
-        opts_.stream.profile == StreamProfile::kBurstySkewed) {
-      return Status::OK();
-    }
-    auto a = svc.snapshot();
-    auto b = restored.snapshot();
-    if (a->generation != b->generation) {
-      return Fail("resume generation " + std::to_string(b->generation) +
-                  " != uninterrupted " + std::to_string(a->generation));
-    }
-    if (a->trace_names != b->trace_names) {
-      return Fail("resume trace names differ from the uninterrupted run");
-    }
-    if (a->trace_cluster != b->trace_cluster) {
-      return Fail("resume trace->cluster assignment differs from the"
-                  " uninterrupted run");
-    }
-    if (a->trace_proportion != b->trace_proportion) {
-      return Fail("resume trace proportions differ from the uninterrupted"
-                  " run");
-    }
-    if (a->clusters.size() != b->clusters.size()) {
-      return Fail("resume cluster count " +
-                  std::to_string(b->clusters.size()) + " != uninterrupted " +
-                  std::to_string(a->clusters.size()));
-    }
-    for (size_t r = 0; r < a->clusters.size(); ++r) {
-      const serve::SnapshotCluster& ca = a->clusters[r];
-      const serve::SnapshotCluster& cb = b->clusters[r];
-      if (ca.cluster_id != cb.cluster_id || ca.member_count != cb.member_count ||
-          ca.degraded != cb.degraded) {
-        return Fail("resume cluster rank " + std::to_string(r) +
-                    " provenance differs from the uninterrupted run");
-      }
-      if (ca.volume != cb.volume || ca.next_value != cb.next_value) {
-        return Fail("resume cluster rank " + std::to_string(r) +
-                    " forecast differs: next " + std::to_string(cb.next_value) +
-                    " != " + std::to_string(ca.next_value) + ", volume " +
-                    std::to_string(cb.volume) + " != " +
-                    std::to_string(ca.volume));
+        DBAUGUR_RETURN_IF_ERROR(CycleAndCheck(run));
       }
     }
     return Status::OK();
   }
 
-  // ---- sharded: ShardedForecastService vs the single-stream reference -----
-
-  Status ShardedLeg() {
-    if (events_.empty()) return Status::OK();
-    serve::ShardedServeOptions sso;
-    sso.shard = MakeServeOptions();
-    sso.shard_count = opts_.service_shards;
-    sso.retrain_workers = std::max<size_t>(1, opts_.service_workers);
-    sso.retrain_deadline_seconds = opts_.retrain_deadline_seconds;
-    sso.retrain_budget = opts_.retrain_budget;
-    serve::ShardedForecastService svc(sso);
-
-    // Same cadence as the single-service leg: retrain cycles every `chunk`
-    // events, per-shard invariants (generation monotone, snapshot finite)
-    // after every cycle.
-    const size_t chunk = std::max<size_t>(1, events_.size() / 6);
-    std::vector<uint64_t> last_gen(sso.shard_count, 0);
-    auto invariants = [&]() -> Status {
-      for (size_t s = 0; s < sso.shard_count; ++s) {
-        const uint64_t gen = svc.shard(s).generation();
-        if (gen < last_gen[s]) {
-          return Fail("shard " + std::to_string(s) +
-                      " generation went backwards: " +
-                      std::to_string(last_gen[s]) + " -> " +
-                      std::to_string(gen));
-        }
-        last_gen[s] = gen;
-        auto snap = svc.snapshot(s);
-        if (snap == nullptr) {
-          return Fail("shard " + std::to_string(s) +
-                      " published a null snapshot");
-        }
-        DBAUGUR_RETURN_IF_ERROR(CheckSnapshotFinite(*snap));
-      }
-      return Status::OK();
-    };
-    size_t since = 0;
-    for (const serve::TraceEvent& e : events_) {
-      svc.Offer(e);
-      if (++since >= chunk) {
-        since = 0;
-        (void)svc.RetrainCycle();
-        DBAUGUR_RETURN_IF_ERROR(invariants());
-      }
-    }
-    // Drain to quiescence: the overload controller may shed shards from any
-    // one cycle (a bursty stream can grow the backlog long enough to step
-    // the ladder up even with an unbounded budget), so one final cycle is
-    // not enough for the exact oracle below. With no new traffic the
-    // backlog stops growing, the ladder steps back down, and every cycle
-    // retrains at least one pending shard — so the loop is bounded.
-    for (size_t extra = 0;; ++extra) {
-      (void)svc.RetrainCycle();
-      DBAUGUR_RETURN_IF_ERROR(invariants());
-      bool drained = true;
-      for (size_t s = 0; s < sso.shard_count; ++s) {
-        if (svc.shard(s).queue_depth() != 0) drained = false;
-      }
-      if (drained || extra >= 4 + 4 * sso.shard_count) break;
-    }
-
-    // Conservation across the router: every offered event accepted or
-    // dropped by exactly one shard (holds with or without fault storms).
+  /// Conservation across the router: every offered event accepted or
+  /// dropped by exactly one shard (holds with or without fault storms).
+  /// Retrain failures are tolerated only under a fault storm, where they are
+  /// the injected behavior, or with an armed deadline, which can
+  /// legitimately cancel a slow but healthy retrain on a loaded machine.
+  Status CheckConservation(const ServiceRun& run, const char* which) const {
     uint64_t accounted = 0;
-    for (size_t s = 0; s < sso.shard_count; ++s) {
-      accounted +=
-          svc.shard(s).events_accepted() + svc.shard(s).drop_stats().total();
-      // An armed deadline can legitimately cancel a slow (but healthy)
-      // retrain on a loaded machine, so the no-failures invariant only
-      // applies when neither faults nor a watchdog are in play.
+    for (size_t s = 0; s < run.svc.shard_count(); ++s) {
+      const serve::ServiceShard& shard = run.svc.shard(s);
+      accounted += shard.events_accepted() + shard.drop_stats().total();
       if (!fault::Active() && opts_.retrain_deadline_seconds <= 0.0 &&
-          svc.shard(s).retrains_failed() != 0) {
-        return Fail("shard " + std::to_string(s) +
+          shard.retrains_failed() != 0) {
+        return Fail(std::string(which) + " shard " + std::to_string(s) +
                     " retrain failed without a fault storm: " +
-                    svc.stats().last_error);
+                    run.svc.stats().last_error);
       }
     }
-    if (accounted != events_.size()) {
-      return Fail("sharded conservation: shards accounted " +
+    if (accounted != run.offered) {
+      return Fail(std::string(which) + " conservation: shards accounted " +
                   std::to_string(accounted) + " events, offered " +
-                  std::to_string(events_.size()));
+                  std::to_string(run.offered));
+    }
+    return Status::OK();
+  }
+
+  /// A checkpoint base path unique to this process and run.
+  std::string CheckpointBase() const {
+    static std::atomic<uint64_t> next_run{0};
+    const std::string name =
+        "dbaugur_chaos_" + std::to_string(::getpid()) + "_" +
+        std::to_string(opts_.stream.seed) + "_" +
+        std::to_string(next_run.fetch_add(1, std::memory_order_relaxed));
+    return (std::filesystem::temp_directory_path() / name).string();
+  }
+
+  /// Resume equality: an uninterrupted run and a save→load→resume run must
+  /// serve identical snapshots, shard by shard — byte-identical serialized
+  /// forms, so provenance, forecasts and every model parameter agree.
+  static Status CompareResumed(const serve::ShardedForecastService& live,
+                               const serve::ShardedForecastService& resumed) {
+    for (size_t s = 0; s < live.shard_count(); ++s) {
+      auto a = live.snapshot(s);
+      auto b = resumed.snapshot(s);
+      const std::string at = "shard " + std::to_string(s) + ": ";
+      if (a->generation != b->generation) {
+        return Fail(at + "resume generation " + std::to_string(b->generation) +
+                    " != uninterrupted " + std::to_string(a->generation));
+      }
+      BufWriter wa, wb;
+      DBAUGUR_RETURN_IF_ERROR(serve::SerializeSnapshot(*a, &wa));
+      DBAUGUR_RETURN_IF_ERROR(serve::SerializeSnapshot(*b, &wb));
+      if (wa.buffer() != wb.buffer()) {
+        return Fail(at + "resumed snapshot (" +
+                    std::to_string(b->clusters.size()) +
+                    " clusters) differs from the uninterrupted one (" +
+                    std::to_string(a->clusters.size()) + " clusters)");
+      }
+    }
+    return Status::OK();
+  }
+
+  /// Checkpoints `live` through the sharded file format and loads it into a
+  /// second service. An injected save/load failure forfeits only the twin:
+  /// returns null then, and the live service runs on.
+  StatusOr<std::unique_ptr<ServiceRun>> Resume(
+      ServiceRun* live, const serve::ShardedServeOptions& sso) const {
+    const std::string base = CheckpointBase();
+    auto twin = std::make_unique<ServiceRun>(sso);
+    serve::ShardedForecastService::LoadReport loaded;
+    Status restore = live->svc.SaveToFiles(base);
+    if (restore.ok()) restore = twin->svc.LoadFromFiles(base, &loaded);
+    serve::ShardedForecastService::RemoveFiles(base, sso.shard_count);
+    if (!restore.ok()) {
+      if (fault::Active()) return std::unique_ptr<ServiceRun>();
+      return Fail("checkpoint save/load failed: " + restore.message());
+    }
+    if (!fault::Active() && (loaded.migrated || loaded.recovered_from_backup)) {
+      return Fail("a fresh same-layout checkpoint loaded as migrated or "
+                  "from .bak");
+    }
+    return twin;
+  }
+
+  /// Feeds events [begin, end of stream) with the leg's cycle cadence,
+  /// drains to quiescence, then checks conservation. One final cycle is not
+  /// enough for the exact oracles: the overload controller may shed shards
+  /// from any one cycle (a bursty stream can grow the backlog long enough to
+  /// step the ladder up even with an unbounded budget). With no new traffic
+  /// the backlog stops growing, the ladder steps back down, and every cycle
+  /// retrains at least one pending shard — so the drain loop is bounded.
+  Status FeedTail(ServiceRun* run, size_t begin, size_t chunk,
+                  const char* which) const {
+    DBAUGUR_RETURN_IF_ERROR(FeedService(run, begin, events_.size(), chunk));
+    const size_t shards = run->svc.shard_count();
+    for (size_t extra = 0;; ++extra) {
+      DBAUGUR_RETURN_IF_ERROR(CycleAndCheck(run));
+      bool drained = true;
+      for (size_t s = 0; s < shards; ++s) {
+        if (run->svc.shard(s).queue_depth() != 0) drained = false;
+      }
+      if (drained || extra >= 4 + 4 * shards) break;
+    }
+    return CheckConservation(*run, which);
+  }
+
+  Status ServiceLeg() {
+    if (events_.empty()) return Status::OK();
+    const serve::ShardedServeOptions sso = MakeServiceOptions();
+    const size_t chunk = std::max<size_t>(1, events_.size() / 6);
+    const size_t mid = events_.size() / 2;
+
+    ServiceRun live(sso);
+    DBAUGUR_RETURN_IF_ERROR(FeedService(&live, 0, mid, chunk));
+    DBAUGUR_RETURN_IF_ERROR(CheckConservation(live, "service"));
+
+    // Resume equality is ruled out before the tail on bursty-skewed streams
+    // (the ingestor's in-memory lateness reference is deliberately not
+    // checkpointed, so post-restore stale drops may differ) and with an
+    // armed deadline (a loaded machine may cancel a healthy retrain in one
+    // run only). Without a fault storm the checkpoint and its twin are then
+    // skipped; under one they still run, for the injected save/load faults
+    // and the restored service's own invariants.
+    const bool comparable =
+        opts_.stream.profile != StreamProfile::kBurstySkewed &&
+        opts_.retrain_deadline_seconds <= 0.0;
+    live.retrained.clear();
+    std::unique_ptr<ServiceRun> resumed;
+    if (comparable || fault::Active()) {
+      auto twin = Resume(&live, sso);
+      if (!twin.ok()) return twin.status();
+      resumed = std::move(twin).value();
+    }
+    DBAUGUR_RETURN_IF_ERROR(FeedTail(&live, mid, chunk, "service"));
+    if (resumed != nullptr) {
+      DBAUGUR_RETURN_IF_ERROR(
+          FeedTail(resumed.get(), mid, chunk, "resumed service"));
     }
 
-    // Exact sharded ≡ single-stream differential. Per-shard lateness
+    // Exact service ≡ single-stream differential: routing, union of
+    // per-shard binned histories, drop-class sums. Per-shard lateness
     // watermarks legitimately diverge from the global reference once the
     // stream trips the stale cutoff (each shard only sees its own templates'
-    // timestamps), so the exact oracle self-gates on stale-free streams;
-    // fault storms gate it off entirely.
+    // timestamps), so the exact oracle self-gates on stale-free streams; a
+    // per-cycle budget leaves unscheduled shards' queues undrained, so their
+    // histories legitimately lag; fault storms gate it off entirely.
     const ReferenceOptions ropts{opts_.max_templates,
                                  opts_.max_lateness_seconds,
                                  opts_.min_timestamp_seconds,
                                  opts_.max_timestamp_seconds,
                                  opts_.stream.interval_seconds};
     const ReferenceResult ref = RunSequentialReference(events_, ropts);
-    // A per-cycle budget leaves unscheduled shards' queues undrained at the
-    // end of the run, so their binned histories legitimately lag the
-    // reference — the exact oracle only applies to unbounded budgets.
-    if (fault::Active() || opts_.retrain_budget > 0 || ref.drops.stale != 0) {
+    if (!fault::Active() && opts_.retrain_budget == 0 && ref.drops.stale == 0) {
+      std::vector<ShardIngestView> views(sso.shard_count);
+      for (size_t s = 0; s < sso.shard_count; ++s) {
+        views[s].accepted = live.svc.shard(s).events_accepted();
+        views[s].drops = live.svc.shard(s).drop_stats();
+        views[s].bins = live.svc.shard(s).BinContents();
+      }
+      DBAUGUR_RETURN_IF_ERROR(CompareShardedIngest(ref, views));
+    }
+
+    if (resumed == nullptr || fault::Active() || !comparable) {
       return Status::OK();
     }
-    std::vector<ShardIngestView> views(sso.shard_count);
-    for (size_t s = 0; s < sso.shard_count; ++s) {
-      views[s].accepted = svc.shard(s).events_accepted();
-      views[s].drops = svc.shard(s).drop_stats();
-      views[s].bins = svc.shard(s).BinContents();
+    // Both runs must retrain the same shards on the same cycles. A bounded
+    // or overload-shrunk budget may legitimately schedule them differently,
+    // because a restore starts the scheduler's history (waited cycles, the
+    // overload ladder) afresh; with neither, a differing schedule means the
+    // restore lost state that drives scheduling.
+    if (live.retrained != resumed->retrained) {
+      if (opts_.retrain_budget > 0 || live.max_overload > 0 ||
+          resumed->max_overload > 0) {
+        return Status::OK();
+      }
+      return Fail("resumed service retrained different shards than the "
+                  "uninterrupted one with an unbounded budget");
     }
-    return CompareShardedIngest(ref, views);
+    return CompareResumed(live.svc, resumed->svc);
   }
 
   // ---- replay: dbsim execution of the replayable subset, twice ------------

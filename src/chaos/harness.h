@@ -1,8 +1,9 @@
 // End-to-end chaos harness: generates a seeded grammar stream
 // (chaos/stream_gen.h), drives it through the full pipeline — raw text
 // through the log parser and SQL2Template, pre-parsed events through the
-// production serve ingest, clustering, optionally the whole ForecastService
-// (with save → load → resume) and the dbsim replay / migrate consumers — and
+// production serve ingest, clustering, optionally the whole forecast service
+// (ShardedForecastService at one or more shards, with a save → load → resume
+// through its checkpoint files) and the dbsim replay / migrate consumers — and
 // checks every leg against ground truth and the differential oracles
 // (chaos/oracle.h).
 //
@@ -25,27 +26,29 @@ namespace dbaugur::chaos {
 /// One chaos run's configuration.
 struct ChaosOptions {
   StreamOptions stream;
-  /// Also run the ForecastService leg: chunked ingest with periodic retrains,
-  /// snapshot-finiteness + generation-monotonicity invariants, and the
-  /// save → load → resume equality oracle.
+  /// Also run the service leg at one shard (service_shards > 1 runs it too,
+  /// at that many shards): chunked ingest with scheduler cycles, per-shard
+  /// snapshot-finiteness + generation-monotonicity invariants, router
+  /// conservation, and the save → load → resume equality oracle through
+  /// SaveToFiles/LoadFromFiles.
   bool full_service = false;
   /// Also run the dbsim replay + migrate legs over the replayable subset.
   bool replay = false;
-  /// When > 1, also run the sharded-service leg: the identical event stream
-  /// through a ShardedForecastService with this many shards, checked against
-  /// the single-stream sequential reference (routing, union of per-shard
-  /// binned histories, drop-class conservation — chaos/oracle.h's
-  /// CompareShardedIngest) plus per-shard snapshot invariants.
+  /// Shard count of the service leg; when > 1 the leg runs even without
+  /// full_service. Besides the invariants above, the leg checks the
+  /// service against the single-stream sequential reference (routing, union
+  /// of per-shard binned histories, drop-class conservation — chaos/oracle.h's
+  /// CompareShardedIngest).
   size_t service_shards = 1;
-  /// Retrain workers for the sharded leg (>= 1). With > 1, scheduled shards
+  /// Retrain workers for the service leg (>= 1). With > 1, scheduled shards
   /// retrain concurrently; the leg's invariants (generation monotonicity,
   /// snapshot finiteness, router conservation) must hold at any worker count.
   size_t service_workers = 1;
-  /// Per-retrain watchdog deadline for the sharded leg; <= 0 disables. Arm
+  /// Per-retrain watchdog deadline for the service leg; <= 0 disables. Arm
   /// together with a `serve.retrain.hang` fault storm to exercise the
   /// cancel → degraded-stale → recover path under chaos streams.
   double retrain_deadline_seconds = 0.0;
-  /// Per-cycle retrain budget for the sharded leg (0 = unbounded). A small
+  /// Per-cycle retrain budget for the service leg (0 = unbounded). A small
   /// budget plus a steady stream keeps the scheduler backlogged, driving the
   /// overload controller through its degradation ladder.
   size_t retrain_budget = 0;

@@ -12,6 +12,11 @@ uint64_t BackoffCycles(uint64_t consecutive_failures) {
   return uint64_t{1} << exp;
 }
 
+double OverloadIntervalScale(uint64_t level) {
+  DBAUGUR_CHECK_LE(level, kMaxOverloadLevel);
+  return static_cast<double>(uint64_t{1} << level);
+}
+
 std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
                                      const RetrainSchedulerOptions& opts) {
   DBAUGUR_CHECK(opts.starvation_cycles >= 1,

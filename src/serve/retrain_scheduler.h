@@ -9,8 +9,7 @@
 //
 // Policy:
 //   - Work-conserving: a shard with no queued events is never scheduled (its
-//     published snapshot already reflects everything it has seen; compare
-//     ForecastService's wall-clock loop, which re-trains unconditionally).
+//     published snapshot already reflects everything it has seen).
 //   - Priority = pending_events × (cycles_waited + 1): traffic volume scaled
 //     by staleness, so hot shards retrain first but waiting inflates cold
 //     shards until they win. Computed in 128-bit so extreme queues cannot
@@ -20,11 +19,11 @@
 //     (longest wait first). With S eligible shards and budget B, every
 //     pending shard is therefore scheduled at least once every
 //     starvation_cycles + ceil(S/B) cycles.
-//   - Failure backoff in cycles, mirroring ForecastService's wall-clock
-//     backoff: after f consecutive failures a shard is ineligible until it
-//     has waited 2^(f-1) cycles (capped), so a persistently failing shard
-//     cannot monopolize the budget — and the starvation promotion never
-//     overrides the backoff.
+//   - Failure backoff in cycles, the service's only backoff policy: after f
+//     consecutive failures a shard is ineligible until it has waited
+//     2^(f-1) cycles (capped), so a persistently failing shard cannot
+//     monopolize the budget — and the starvation promotion never overrides
+//     the backoff. Wall-clock time never enters the schedule.
 
 #pragma once
 
@@ -60,6 +59,15 @@ uint64_t BackoffCycles(uint64_t consecutive_failures);
 std::vector<size_t> ScheduleRetrains(const std::vector<ShardSignal>& signals,
                                      const RetrainSchedulerOptions& opts);
 
+/// Highest overload level the ladder may reach (ShardedForecastService
+/// rejects a larger OverloadOptions::max_level). At 16 the scheduler interval
+/// is widened 65536-fold, the same cap BackoffCycles applies.
+inline constexpr uint64_t kMaxOverloadLevel = 16;
+
+/// The interval multiplier 2^level of overload level `level`
+/// (<= kMaxOverloadLevel). The one place the ladder's shift is computed.
+double OverloadIntervalScale(uint64_t level);
+
 /// Overload-adaptation knobs (see OverloadController).
 struct OverloadOptions {
   /// Consecutive backlog-growth cycles before escalating one level
@@ -68,7 +76,7 @@ struct OverloadOptions {
   /// Consecutive non-growth cycles before recovering one level.
   uint64_t drain_cycles = 2;
   /// Ceiling on the degradation level (each level halves the budget and
-  /// doubles the cycle interval).
+  /// doubles the cycle interval; <= kMaxOverloadLevel).
   uint64_t max_level = 3;
 };
 
@@ -97,11 +105,6 @@ class OverloadController {
   /// `shard_count`) halved once per level, floored at 1 so the scheduler
   /// always stays work-conserving.
   size_t DegradedBudget(size_t base_budget, size_t shard_count) const;
-
-  /// Multiplier on the retrain interval: 2^level.
-  double IntervalScale() const {
-    return static_cast<double>(uint64_t{1} << level_);
-  }
 
  private:
   OverloadOptions opts_;

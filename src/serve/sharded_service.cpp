@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <utility>
 
@@ -15,6 +16,30 @@ namespace {
 constexpr uint32_t kShardFileMagic = 0xDBA65EF7;
 constexpr uint32_t kManifestMagic = 0xDBA65EF8;
 constexpr uint32_t kShardedVersion = 1;
+
+/// Reads `path` (LoadFromFile falls back to `.bak` on a missing, torn or
+/// corrupt frame) and validates the payload with `parse`. A primary that
+/// passes its checksum but fails validation is retried from its `.bak`: the
+/// previous good copy may still restore cleanly. Sets *from_backup when the
+/// returned value came from `.bak`; on failure returns the primary's error.
+template <typename T, typename Parse>
+StatusOr<T> LoadValidated(const std::string& path, bool* from_backup,
+                          const Parse& parse) {
+  auto file = ::dbaugur::LoadFromFile(path);
+  if (!file.ok()) return file.status();
+  StatusOr<T> value = parse(file->blob);
+  bool backup = file->recovered_from_backup;
+  if (!value.ok() && !backup) {
+    auto bak = ::dbaugur::LoadFromFile(path + ".bak");
+    StatusOr<T> retried = bak.ok() ? parse(bak->blob) : bak.status();
+    if (retried.ok()) {
+      value = std::move(retried);
+      backup = true;
+    }
+  }
+  if (value.ok() && backup) *from_backup = true;
+  return value;
+}
 }  // namespace
 
 ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
@@ -28,6 +53,8 @@ ShardedForecastService::ShardedForecastService(const ShardedServeOptions& opts)
   DBAUGUR_CHECK(opts_.shard.retrain_interval_seconds > 0,
                 "ShardedForecastService retrain_interval_seconds must be "
                 "positive");
+  DBAUGUR_CHECK_LE(opts_.overload.max_level, kMaxOverloadLevel,
+                   "ShardedForecastService overload.max_level too large");
   shards_.reserve(opts_.shard_count);
   for (size_t i = 0; i < opts_.shard_count; ++i) {
     shards_.push_back(std::make_unique<ServiceShard>(opts_.shard, i));
@@ -68,15 +95,17 @@ std::vector<size_t> ShardedForecastService::RetrainCycle() {
       ShardSignal s;
       s.shard_id = i;
       s.pending_events = shards_[i]->queue_depth();
-      // A cancelled retrain drained its queue into the binner without
-      // publishing, so a degraded-stale shard still owes the scheduler a
-      // retrain even when no new traffic arrives — otherwise the
-      // work-conserving skip would pin it on its last-good snapshot forever.
-      if (s.pending_events == 0 && shards_[i]->degraded_stale()) {
-        s.pending_events = 1;
-      }
       s.cycles_waited = cycles_waited_[i];
       s.consecutive_failures = shards_[i]->consecutive_failures();
+      // A failed or cancelled retrain drained its queue into the binner
+      // without publishing, so the shard still owes a retrain even when no
+      // new traffic arrives — otherwise the work-conserving skip would pin
+      // it on its last-good snapshot forever. It is retried once its failure
+      // backoff has elapsed.
+      if (s.pending_events == 0 &&
+          (s.consecutive_failures > 0 || shards_[i]->degraded_stale())) {
+        s.pending_events = 1;
+      }
       total_pending += s.pending_events;
       if (s.pending_events > 0) max_wait = std::max(max_wait, s.cycles_waited);
       signals.push_back(s);
@@ -184,14 +213,12 @@ void ShardedForecastService::SchedulerLoop() {
     }
     (void)RetrainCycle();
     // Per-shard failure backoff is in scheduler cycles (see
-    // retrain_scheduler.h), so the loop ticks at a constant period instead of
-    // stretching globally the way ForecastService's single-shard loop does —
-    // except under overload, where the degradation ladder widens the tick by
+    // retrain_scheduler.h), so the loop ticks at a constant period — except
+    // under overload, where the degradation ladder widens the tick by
     // 2^level until backlog drains (see OverloadController).
-    double interval = opts_.shard.retrain_interval_seconds *
-                      static_cast<double>(
-                          uint64_t{1}
-                          << overload_level_.load(std::memory_order_acquire));
+    double interval =
+        opts_.shard.retrain_interval_seconds *
+        OverloadIntervalScale(overload_level_.load(std::memory_order_acquire));
     auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -246,8 +273,7 @@ ShardedServiceHealth ShardedForecastService::Health() const {
   h.overload_level = overload_level_.load(std::memory_order_acquire);
   h.effective_budget =
       static_cast<size_t>(effective_budget_.load(std::memory_order_relaxed));
-  h.interval_multiplier =
-      static_cast<double>(uint64_t{1} << h.overload_level);
+  h.interval_multiplier = OverloadIntervalScale(h.overload_level);
   bool any_backoff = false;
   bool any_degraded = false;
   bool any_trained = false;
@@ -261,9 +287,16 @@ ShardedServiceHealth ShardedForecastService::Health() const {
     row.generation = snap->generation;
     row.cluster_count = snap->cluster_count();
     row.degraded_clusters = snap->degraded_count();
+    row.clusters.reserve(snap->clusters.size());
+    for (size_t rank = 0; rank < snap->clusters.size(); ++rank) {
+      const SnapshotCluster& c = snap->clusters[rank];
+      row.clusters.push_back({c.cluster_id, rank, c.degraded,
+                              c.degraded_reason});
+    }
     row.queue_depth = shard.queue_depth();
     row.events_accepted = s.events_accepted;
     row.drops = shard.drop_stats();
+    row.values_winsorized = s.values_winsorized;
     row.retrains_completed = s.retrains_completed;
     row.retrains_failed = s.retrains_failed;
     row.retrains_cancelled = shard.retrains_cancelled();
@@ -277,9 +310,11 @@ ShardedServiceHealth ShardedForecastService::Health() const {
     row.staleness_seconds = shard.staleness_seconds();
     row.last_error_age_seconds = shard.last_error_age_seconds();
     row.cycles_waited = i < waited.size() ? waited[i] : 0;
+    const uint64_t backoff = BackoffCycles(s.consecutive_failures);
+    row.backoff_cycles =
+        backoff > row.cycles_waited ? backoff - row.cycles_waited : 0;
     row.last_error = s.last_error;
-    // Service-wide ingest aggregates (the flat service has always reported
-    // these; the sharded Health now sums them across shards).
+    // Service-wide ingest aggregates, summed across shards.
     h.events_accepted += s.events_accepted;
     h.events_dropped += s.events_dropped;
     h.events_quarantined += s.events_quarantined;
@@ -316,6 +351,19 @@ ShardedServiceHealth ShardedForecastService::Health() const {
   return h;
 }
 
+void ShardedForecastService::RemoveFiles(const std::string& base_path,
+                                         size_t shard_count) {
+  std::vector<std::string> files = {ManifestPath(base_path)};
+  for (size_t i = 0; i < shard_count; ++i) {
+    files.push_back(ShardPath(base_path, i));
+  }
+  for (const std::string& f : files) {
+    for (const char* suffix : {"", ".bak", ".tmp"}) {
+      std::remove((f + suffix).c_str());
+    }
+  }
+}
+
 Status ShardedForecastService::SaveToFiles(const std::string& base_path) {
   // Hold cycle_mu_ so a concurrent scheduler cycle cannot retrain a shard
   // between its section being written and the manifest commit.
@@ -342,79 +390,93 @@ Status ShardedForecastService::SaveToFiles(const std::string& base_path) {
 }
 
 Status ShardedForecastService::LoadFromFiles(const std::string& base_path,
-                                             bool* migrated) {
+                                             LoadReport* report) {
   auto corrupt = [] {
     return Status::InvalidArgument(
         "serve: truncated or corrupt sharded checkpoint");
   };
   // --- Phase 1: parse and validate everything; touch no shard state. ------
-  auto manifest = ::dbaugur::LoadFromFile(ManifestPath(base_path));
+  bool from_backup = false;
+  auto manifest = LoadValidated<uint64_t>(
+      ManifestPath(base_path), &from_backup,
+      [&](const std::vector<uint8_t>& blob) -> StatusOr<uint64_t> {
+        uint32_t magic = 0;
+        uint32_t version = 0;
+        uint64_t count = 0;
+        uint64_t interval = 0;
+        uint64_t seed = 0;
+        BufReader r(blob);
+        if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&count) ||
+            !r.U64(&interval) || !r.U64(&seed) || !r.AtEnd()) {
+          return corrupt();
+        }
+        if (magic != kManifestMagic) {
+          return Status::InvalidArgument("serve: bad sharded manifest magic");
+        }
+        if (version != kShardedVersion) {
+          return Status::InvalidArgument(
+              "serve: unsupported sharded checkpoint version");
+        }
+        if (count == 0) return corrupt();
+        if (interval !=
+            static_cast<uint64_t>(opts_.shard.bin_interval_seconds)) {
+          return Status::InvalidArgument(
+              "serve: checkpoint bin interval does not match service options");
+        }
+        if (seed != opts_.shard.seed) {
+          return Status::InvalidArgument(
+              "serve: checkpoint seed does not match service options "
+              "(seed-stream replay would diverge)");
+        }
+        return count;
+      });
   if (!manifest.ok()) return manifest.status();
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  uint64_t saved_count = 0;
-  uint64_t saved_interval = 0;
-  uint64_t saved_seed = 0;
-  {
-    BufReader r(manifest->blob);
-    if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&saved_count) ||
-        !r.U64(&saved_interval) || !r.U64(&saved_seed) || !r.AtEnd()) {
-      return corrupt();
-    }
-  }
-  if (magic != kManifestMagic) {
-    return Status::InvalidArgument("serve: bad sharded manifest magic");
-  }
-  if (version != kShardedVersion) {
-    return Status::InvalidArgument(
-        "serve: unsupported sharded checkpoint version");
-  }
-  if (saved_count == 0) return corrupt();
-  if (saved_interval !=
-      static_cast<uint64_t>(opts_.shard.bin_interval_seconds)) {
-    return Status::InvalidArgument(
-        "serve: checkpoint bin interval does not match service options");
-  }
-  if (saved_seed != opts_.shard.seed) {
-    return Status::InvalidArgument(
-        "serve: checkpoint seed does not match service options (seed-stream "
-        "replay would diverge)");
-  }
+  const uint64_t saved_count = *manifest;
 
+  // No reserve(saved_count): the count is untrusted input until every shard
+  // file it names has been read, and a crafted manifest must yield an error,
+  // not an allocation failure.
   std::vector<ServiceShard::ParsedState> parsed;
-  parsed.reserve(saved_count);
   for (uint64_t i = 0; i < saved_count; ++i) {
-    auto file = ::dbaugur::LoadFromFile(ShardPath(base_path, i));
-    if (!file.ok()) return file.status();
-    BufReader r(file->blob);
-    uint64_t file_count = 0;
-    uint64_t file_id = 0;
-    if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&file_count) ||
-        !r.U64(&file_id)) {
-      return corrupt();
-    }
-    if (magic != kShardFileMagic) {
-      return Status::InvalidArgument("serve: bad shard file magic");
-    }
-    if (version != kShardedVersion || file_count != saved_count ||
-        file_id != i) {
-      return Status::InvalidArgument(
-          "serve: shard file does not match checkpoint manifest");
-    }
-    // All shards share one option set, so shard 0 can validate any section.
-    auto state = shards_[0]->ParseStateSection(&r);
+    auto state = LoadValidated<ServiceShard::ParsedState>(
+        ShardPath(base_path, i), &from_backup,
+        [&](const std::vector<uint8_t>& blob)
+            -> StatusOr<ServiceShard::ParsedState> {
+          BufReader r(blob);
+          uint32_t magic = 0;
+          uint32_t version = 0;
+          uint64_t file_count = 0;
+          uint64_t file_id = 0;
+          if (!r.U32(&magic) || !r.U32(&version) || !r.U64(&file_count) ||
+              !r.U64(&file_id)) {
+            return corrupt();
+          }
+          if (magic != kShardFileMagic) {
+            return Status::InvalidArgument("serve: bad shard file magic");
+          }
+          if (version != kShardedVersion || file_count != saved_count ||
+              file_id != i) {
+            return Status::InvalidArgument(
+                "serve: shard file does not match checkpoint manifest");
+          }
+          // All shards share one option set, so shard 0 can validate any
+          // section.
+          auto section = shards_[0]->ParseStateSection(&r);
+          if (!section.ok()) return section.status();
+          if (!r.AtEnd()) return corrupt();
+          return section;
+        });
     if (!state.ok()) return state.status();
-    if (!r.AtEnd()) return corrupt();
     parsed.push_back(std::move(state).value());
   }
 
   // --- Phase 2: install (same layout) or migrate by re-hashing. -----------
   MutexLock lock(&cycle_mu_);
-  if (saved_count == shards_.size()) {
+  const bool migrate = saved_count != shards_.size();
+  if (!migrate) {
     for (size_t i = 0; i < shards_.size(); ++i) {
       shards_[i]->InstallParsedState(std::move(parsed[i]));
     }
-    if (migrated != nullptr) *migrated = false;
   } else {
     // Re-partition the binned history into the new layout. Every template id
     // re-hashes to exactly one new shard, so no keys are lost or duplicated
@@ -444,8 +506,8 @@ Status ShardedForecastService::LoadFromFiles(const std::string& base_path,
     }
     DBAUGUR_INFO("serve: migrated sharded checkpoint from "
                  << saved_count << " to " << shards_.size() << " shards");
-    if (migrated != nullptr) *migrated = true;
   }
+  if (report != nullptr) *report = LoadReport{migrate, from_backup};
   // Restored shards start with a clean scheduling slate.
   cycles_waited_.assign(shards_.size(), 0);
   return Status::OK();

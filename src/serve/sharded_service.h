@@ -1,5 +1,6 @@
-// Sharded forecast serving: N independent ServiceShards behind a
-// deterministic hash router and a priority retrain scheduler.
+// Forecast serving: N independent ServiceShards behind a deterministic hash
+// router and a priority retrain scheduler. This is the service's one
+// front-end; a single-shard deployment is shard_count = 1.
 //
 //   ShardedServeOptions o;
 //   o.shard = serve_options;            // applied uniformly to every shard
@@ -12,20 +13,22 @@
 //   svc.SaveToFiles(base);              // per-shard checkpoint + manifest
 //   svc.LoadFromFiles(base);            // all-or-nothing, migrates on
 //                                       //   shard-count change by re-hashing
+//   svc.Health();                       // per-shard liveness + degradation
 //
 // Routing: template id -> ShardOfKey(id, shard_count) (common/hashing.h), a
 // pure function of the key and the shard count — stable across runs, hosts,
 // and save/load. Every shard gets the same ServeOptions, including the same
 // base seed: shards draw from identically seeded streams at independently
 // persisted positions (cycle counters), so a shard_count=1 service is
-// bit-identical to ForecastService, and per-cluster forecasts at any shard
-// count match a single-shard run fed the same per-shard event interleavings
-// (pinned by tests/serve_shard_test.cpp).
+// bit-identical to a bare ServiceShard driven through RetrainOnce, and
+// per-cluster forecasts at any shard count match a single-shard run fed the
+// same per-shard event interleavings (pinned by tests/serve_shard_test.cpp).
 //
 // Retraining: each RetrainCycle samples per-shard signals (queue depth,
 // cycles waited, failure streak), asks serve/retrain_scheduler.h for a
 // deterministic priority order (traffic × staleness, starvation-bounded,
-// failure-backoff in cycles), and drains that order through a persistent
+// failure-backoff in cycles — the only backoff policy; the background loop
+// itself ticks at a fixed period), and drains that order through a persistent
 // RetrainWorkerPool (serve/retrain_workers.h) — workers claim shards in
 // schedule order, so hot shards go first regardless of worker count. Reads
 // are never blocked: they route to the shard and copy its snapshot pointer.
@@ -52,12 +55,16 @@
 //   <base>.manifest : U32 magic, U32 version, U64 shard_count,
 //                     U64 bin_interval_seconds, U64 seed
 //   <base>.shard<i> : U32 magic, U32 version, U64 shard_count, U64 shard_id,
-//                     then the shard's v1 state section (see
+//                     then the shard's state section (see
 //                     ServiceShard::SaveStateSection)
-// Each file is individually crash-safe; restore is all-or-nothing in memory
-// (every file parsed and validated before any shard is touched). Because
-// shards persist independent seed-stream positions, a crash between shard
-// file writes leaves a mixed-epoch but still self-consistent checkpoint.
+// This is the only checkpoint format. Each file is individually crash-safe
+// (a torn or bit-flipped file, or one that passes its checksum but fails
+// validation, falls back to its `.bak`, reported through LoadReport);
+// restore is all-or-nothing in memory (every file parsed and validated
+// before any shard is touched). Because shards persist independent
+// seed-stream positions, a crash between shard file writes — or a `.bak`
+// fallback for some files only — leaves a mixed-epoch but still
+// self-consistent checkpoint.
 //
 // Shard-count migration: loading a checkpoint written with a different
 // shard_count re-partitions the binned history by re-hashing every template
@@ -107,20 +114,33 @@ struct ShardedServeOptions {
 };
 
 /// One shard's row in Health(): identity, serving state, queue pressure,
-/// retrain recency. All point-in-time, none block behind a retrain.
+/// retrain recency, per-cluster degradation. All point-in-time, none block
+/// behind a retrain.
 struct ShardHealth {
+  struct Cluster {
+    int cluster_id = 0;
+    size_t rank = 0;          ///< Position in the shard's top-K ordering.
+    bool degraded = false;
+    std::string reason;       ///< Empty unless degraded.
+  };
+
   size_t shard_id = 0;
   ServiceHealth::State state = ServiceHealth::State::kUntrained;
   uint64_t generation = 0;
   size_t cluster_count = 0;
   size_t degraded_clusters = 0;
+  std::vector<Cluster> clusters;  ///< Per-cluster degradation flags.
   size_t queue_depth = 0;
   uint64_t events_accepted = 0;
   IngestDropStats drops;
+  uint64_t values_winsorized = 0;     ///< Trace values clamped before training.
   uint64_t retrains_completed = 0;
   uint64_t retrains_failed = 0;
   uint64_t retrains_cancelled = 0;    ///< Watchdog/deadline cancellations.
   uint64_t consecutive_failures = 0;
+  /// Scheduler cycles left before the failure backoff lets this shard be
+  /// scheduled again (0 when it is eligible now).
+  uint64_t backoff_cycles = 0;
   /// True while the shard serves a last-good snapshot because its most
   /// recent retrain was cancelled mid-flight; `stale_reason` says why.
   bool degraded_stale = false;
@@ -226,11 +246,22 @@ class ShardedForecastService {
   /// shard's history first, so nothing is lost across a restart.
   Status SaveToFiles(const std::string& base_path) DBAUGUR_EXCLUDES(cycle_mu_);
 
+  /// What a successful LoadFromFiles did beyond a plain restore.
+  struct LoadReport {
+    /// The checkpoint had a different shard_count and was re-hashed.
+    bool migrated = false;
+    /// At least one file (manifest or shard) was torn, corrupt or invalid
+    /// and came from its `.bak` previous good copy.
+    bool recovered_from_backup = false;
+  };
+
   /// Restores a SaveToFiles checkpoint. All-or-nothing: every file is parsed
-  /// and validated before any shard is mutated. A checkpoint written with a
-  /// different shard_count is migrated by re-hashing (see above);
-  /// `migrated` (optional) reports whether that happened.
-  Status LoadFromFiles(const std::string& base_path, bool* migrated = nullptr)
+  /// and validated before any shard is mutated; on failure every shard keeps
+  /// serving its current generation. A checkpoint written with a different
+  /// shard_count is migrated by re-hashing (see above). `report` (optional)
+  /// says whether that happened and whether any file came from `.bak`.
+  Status LoadFromFiles(const std::string& base_path,
+                       LoadReport* report = nullptr)
       DBAUGUR_EXCLUDES(cycle_mu_);
 
   static std::string ManifestPath(const std::string& base_path) {
@@ -239,6 +270,10 @@ class ShardedForecastService {
   static std::string ShardPath(const std::string& base_path, size_t shard_id) {
     return base_path + ".shard" + std::to_string(shard_id);
   }
+  /// Deletes every file a checkpoint at `base_path` with `shard_count`
+  /// shards may have left: manifest and shard files with their `.bak` and
+  /// `.tmp` siblings. Missing files are ignored.
+  static void RemoveFiles(const std::string& base_path, size_t shard_count);
 
   const ShardedServeOptions& options() const { return opts_; }
 
@@ -272,7 +307,9 @@ class ShardedForecastService {
   std::atomic<uint64_t> effective_budget_{0};
   std::atomic<uint64_t> retrains_cancelled_{0};
 
-  Mutex lifecycle_mu_;  ///< Serializes Start/Stop/dtor (see ForecastService).
+  /// Serializes Start/Stop/dtor: worker_ is not a thread-safe object, so
+  /// racing Start/Stop calls on it would be a data race.
+  Mutex lifecycle_mu_;
   std::thread worker_ DBAUGUR_GUARDED_BY(lifecycle_mu_);
 
   Mutex stop_mu_;  ///< Guards stopping_, paired with stop_cv_.

@@ -14,6 +14,12 @@ namespace {
 constexpr uint32_t kSnapshotMagic = 0xDBA65E01;
 // v2 added per-cluster model_kind + degraded flag/reason.
 constexpr uint32_t kSnapshotVersion = 2;
+// Smallest encodings of one trace row (empty name: Str length, I32 cluster,
+// F64 proportion) and one cluster (every fixed field, empty strings, no
+// representative values, empty model state), for bounding untrusted counts.
+constexpr size_t kMinTraceBytes = 4 + 4 + 8;
+constexpr size_t kMinClusterBytes =
+    4 + 8 + 8 + 8 + 8 + 4 + 8 + 8 + 1 + 1 + 4 + 4;
 
 // Constructs an untrained model of the given preset kind.
 StatusOr<std::unique_ptr<ensemble::TimeSensitiveEnsemble>> BuildByKind(
@@ -240,9 +246,14 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
   if (version != kSnapshotVersion) {
     return Status::InvalidArgument("serve: unsupported snapshot version");
   }
+  // Element counts are untrusted until their elements have been read: each
+  // is bounded by the bytes left (at the smallest encoding of one element)
+  // before anything is reserved, so a crafted count is rejected as corrupt
+  // instead of aborting the process on a giant allocation.
   auto snap = std::make_shared<ServiceSnapshot>();
   uint64_t traces = 0;
   if (!r->U64(&snap->generation) || !r->U64(&traces)) return corrupt();
+  if (traces > r->remaining() / kMinTraceBytes) return corrupt();
   snap->trace_names.reserve(traces);
   snap->trace_cluster.reserve(traces);
   snap->trace_proportion.reserve(traces);
@@ -257,6 +268,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
   }
   uint64_t n_clusters = 0;
   if (!r->U64(&n_clusters)) return corrupt();
+  if (n_clusters > r->remaining() / kMinClusterBytes) return corrupt();
   snap->clusters.reserve(n_clusters);
   for (uint64_t i = 0; i < n_clusters; ++i) {
     SnapshotCluster c;
@@ -273,6 +285,7 @@ StatusOr<std::shared_ptr<const ServiceSnapshot>> DeserializeSnapshot(
     }
     c.cluster_id = cid;
     c.member_count = members;
+    if (rep_len > r->remaining() / sizeof(double)) return corrupt();
     std::vector<double> rep_values(rep_len);
     for (uint64_t j = 0; j < rep_len; ++j) {
       if (!r->F64(&rep_values[j])) return corrupt();

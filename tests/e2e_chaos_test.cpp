@@ -5,8 +5,10 @@
 // pre-parsed events through the production ingest checked against the
 // sequential differential reference, the Descender batch/sequential cross-
 // check, and the deterministic migrate consumer. ChaosServiceTest adds the
-// whole ForecastService (retrains, invariants, save → load → resume
-// equality); ChaosReplayTest adds the dbsim replay leg. ChaosCorpusTest
+// whole forecast service at one shard (scheduler cycles, invariants,
+// checkpoint files save → load → resume equality); the steady and
+// bursty-skewed matrix rows run the same service leg at 3 and 2 shards.
+// ChaosReplayTest adds the dbsim replay leg. ChaosCorpusTest
 // replays tests/chaos_corpus/corpus.txt, the regression corpus of seeds
 // worth keeping. ChaosFaultTest arms fault storms and requires the
 // conservation/invariant oracles to hold where exact equality is forfeit.
@@ -57,9 +59,10 @@ void RunSeedRange(StreamProfile profile, uint64_t first_seed, uint64_t seeds,
 // --- the 200-seed deterministic matrix (50 per profile) ---------------------
 
 TEST(ChaosMatrixTest, Steady) {
-  // The steady profile runs the sharded leg too: every seed's stream through
+  // The steady profile runs the service leg too: every seed's stream through
   // a 3-shard ShardedForecastService, checked against the single-stream
-  // sequential reference (CompareShardedIngest).
+  // sequential reference (CompareShardedIngest) and resumed from a
+  // mid-stream multi-shard checkpoint (resume equality).
   RunSeedRange(StreamProfile::kSteady, 1000, 50, /*shards=*/3);
 }
 
@@ -68,7 +71,7 @@ TEST(ChaosMatrixTest, TemplateChurn) {
 }
 
 TEST(ChaosMatrixTest, BurstySkewed) {
-  // Sharded leg with skewed/duplicate timestamps: when the reference stream
+  // Service leg with skewed/duplicate timestamps: when the reference stream
   // trips the global stale cutoff the exact oracle self-gates (per-shard
   // lateness watermarks legitimately diverge) but conservation and per-shard
   // snapshot invariants must still hold for every seed.

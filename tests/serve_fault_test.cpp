@@ -1,9 +1,10 @@
 // Fault-tolerance tests for the serving layer: deterministic fault-injection
-// schedules, retrain backoff, input quarantine + winsorization, per-cluster
-// degraded mode with last-good / kernel-baseline fallbacks, and crash-safe
-// on-disk checkpoints (torn writes, bit flips, truncation → last-good
-// recovery). The final chaos test reads DBAUGUR_FAULT_SPEC and is what the
-// check.sh fault pass drives under ASan.
+// schedules, retrain backoff in scheduler cycles, input quarantine +
+// winsorization, per-cluster degraded mode with last-good / kernel-baseline
+// fallbacks, and crash-safe on-disk checkpoints (torn writes, bit flips,
+// truncation → last-good recovery per file; crafted oversized counts →
+// clean rejection). The final chaos test reads DBAUGUR_FAULT_SPEC and is
+// what the check.sh fault pass drives under ASan.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,6 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
@@ -23,7 +23,7 @@
 #include "common/cancellation.h"
 #include "common/fault_injection.h"
 #include "serve/ingestor.h"
-#include "serve/service.h"
+#include "serve/retrain_scheduler.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
@@ -67,9 +67,16 @@ ServeOptions FaultOptions() {
   return o;
 }
 
+/// A one-shard service over FaultOptions: every template routes to shard 0.
+ShardedServeOptions FaultService() {
+  ShardedServeOptions so;
+  so.shard = FaultOptions();
+  return so;
+}
+
 // Offers `bins` bins for `templates` templates with per-template scales far
 // enough apart that each template clusters alone (distinct, ordered volumes).
-void OfferScaledBins(ForecastService* svc, uint32_t templates,
+void OfferScaledBins(ShardedForecastService* svc, uint32_t templates,
                      int64_t first_bin, int64_t bins) {
   for (int64_t b = first_bin; b < first_bin + bins; ++b) {
     for (uint32_t t = 0; t < templates; ++t) {
@@ -159,64 +166,55 @@ TEST_F(FaultInjectionTest, MultiSiteSpecAndUnknownSiteStats) {
 }
 
 // --------------------------------------------------------------------------
-// Retrain failure handling: backoff schedule, last_error, Health().
+// Retrain failure handling: backoff in scheduler cycles, last_error, Health().
 
-// Independent reimplementation of the backoff formula (SplitMix64 finalizer,
-// capped ldexp doubling, ±10% jitter) so the test pins the *schedule*, not
-// merely self-consistency.
-double ExpectedBackoff(const ServeOptions& o, uint64_t consecutive,
-                       uint64_t total) {
-  if (consecutive == 0) return o.retrain_interval_seconds;
-  int exp = static_cast<int>(std::min<uint64_t>(consecutive - 1, 60));
-  double delay =
-      std::min(std::ldexp(o.retrain_interval_seconds, exp), o.max_backoff_seconds);
-  uint64_t z = o.seed ^ total;
-  z += 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z = z ^ (z >> 31);
-  double unit = static_cast<double>(z >> 11) * 0x1.0p-53;
-  return delay * (0.9 + 0.2 * unit);
+/// Runs scheduler cycles until one schedules something (at most `max_cycles`)
+/// and returns that cycle's order; empty if none did.
+std::vector<size_t> CycleUntilScheduled(ShardedForecastService* svc,
+                                        int max_cycles) {
+  for (int i = 0; i < max_cycles; ++i) {
+    std::vector<size_t> order = svc->RetrainCycle();
+    if (!order.empty()) return order;
+  }
+  return {};
 }
 
-TEST_F(BackoffTest, ScheduleIsExactCappedAndJittered) {
-  ServeOptions o = FaultOptions();
-  o.retrain_interval_seconds = 1.0;
-  o.max_backoff_seconds = 60.0;
-  o.seed = 1234;
-  // Healthy: plain interval, no jitter.
-  EXPECT_EQ(ForecastService::ComputeBackoffSeconds(o, 0, 17), 1.0);
-  double prev_base = 0.0;
-  for (uint64_t f = 1; f <= 12; ++f) {
-    double got = ForecastService::ComputeBackoffSeconds(o, f, f);
-    EXPECT_EQ(got, ExpectedBackoff(o, f, f)) << "failure " << f;
-    double base = std::min(std::ldexp(1.0, static_cast<int>(f - 1)), 60.0);
-    // Jitter stays within ±10% of the capped exponential base...
-    EXPECT_GE(got, 0.9 * base - 1e-12);
-    EXPECT_LE(got, 1.1 * base + 1e-12);
-    // ...and the base itself never shrinks as failures accumulate.
-    EXPECT_GE(base, prev_base);
-    prev_base = base;
+TEST_F(BackoffTest, ScheduleIsExactInSchedulerCycles) {
+  ShardedForecastService svc(FaultService());
+  OfferScaledBins(&svc, 2, 0, 12);
+  ASSERT_TRUE(fault::Configure("serve.retrain.build=n:1000").ok());
+  // Failure f leaves the shard ineligible for exactly BackoffCycles(f)
+  // cycles, even with no new traffic; Health() counts the remaining cycles
+  // down to 0, and the shard is retried on the cycle that starts at 0.
+  uint64_t cycle = 0;
+  for (uint64_t f = 1; f <= 6; ++f) {
+    ASSERT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0})) << "failure " << f;
+    ++cycle;
+    ServeStats s = svc.stats();
+    ASSERT_EQ(s.consecutive_failures, f);
+    ASSERT_EQ(s.retrains_failed, f);
+    for (uint64_t left = BackoffCycles(f); left > 0; --left) {
+      ShardedServiceHealth h = svc.Health();
+      EXPECT_EQ(h.state, ServiceHealth::State::kBackoff);
+      EXPECT_EQ(h.shards[0].backoff_cycles, left) << "failure " << f;
+      EXPECT_TRUE(svc.RetrainCycle().empty()) << "failure " << f;
+      ++cycle;
+    }
+    EXPECT_EQ(svc.Health().shards[0].backoff_cycles, 0u) << "failure " << f;
   }
-  // Deep failure streaks saturate at the cap (±10%).
-  double deep = ForecastService::ComputeBackoffSeconds(o, 40, 40);
-  EXPECT_GE(deep, 0.9 * 60.0 - 1e-12);
-  EXPECT_LE(deep, 1.1 * 60.0 + 1e-12);
-  // The jitter is keyed on total_failures: the same streak length at a
-  // different point in history waits a different (deterministic) time.
-  EXPECT_NE(ForecastService::ComputeBackoffSeconds(o, 3, 3),
-            ForecastService::ComputeBackoffSeconds(o, 3, 7));
+  // 6 attempts plus 1 + 2 + 4 + 8 + 16 + 32 backed-off cycles.
+  EXPECT_EQ(cycle, 69u);
+  EXPECT_EQ(svc.cycles(), cycle);
 }
 
 TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
-  ForecastService svc(FaultOptions());
+  ShardedForecastService svc(FaultService());
   OfferScaledBins(&svc, 2, 0, 12);
   ASSERT_TRUE(fault::Configure("serve.retrain.build=n:3").ok());
 
   for (int i = 1; i <= 3; ++i) {
-    Status st = svc.RetrainOnce();
-    ASSERT_FALSE(st.ok());
-    EXPECT_NE(st.message().find("injected"), std::string::npos);
+    // Each failure is retried once its cycle backoff elapses.
+    ASSERT_EQ(CycleUntilScheduled(&svc, 8), (std::vector<size_t>{0}));
     ServeStats s = svc.stats();
     EXPECT_EQ(s.retrains_failed, static_cast<uint64_t>(i));
     EXPECT_EQ(s.consecutive_failures, static_cast<uint64_t>(i));
@@ -224,15 +222,17 @@ TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
     EXPECT_EQ(s.last_error_generation, 0u);  // failed before first publish
     EXPECT_EQ(s.last_error_cycles, 0u);
   }
-  ServiceHealth h = svc.Health();
+  ShardedServiceHealth h = svc.Health();
   EXPECT_EQ(h.state, ServiceHealth::State::kBackoff);
-  EXPECT_EQ(h.consecutive_failures, 3u);
-  EXPECT_EQ(h.backoff_seconds,
-            ForecastService::ComputeBackoffSeconds(svc.options(), 3, 3));
+  EXPECT_EQ(h.shards[0].state, ServiceHealth::State::kBackoff);
+  EXPECT_EQ(h.shards[0].consecutive_failures, 3u);
+  EXPECT_EQ(h.shards[0].backoff_cycles, BackoffCycles(3));
+  EXPECT_NE(h.shards[0].last_error.find("injected"), std::string::npos);
 
-  // The schedule is exhausted: the next cycle trains, clears the streak, and
-  // keeps the failure history (retrains_failed, last_error) for forensics.
-  ASSERT_TRUE(svc.RetrainOnce().ok());
+  // The schedule is exhausted: the next attempt trains, clears the streak,
+  // and keeps the failure history (retrains_failed, last_error) for
+  // forensics.
+  ASSERT_EQ(CycleUntilScheduled(&svc, 8), (std::vector<size_t>{0}));
   ServeStats s = svc.stats();
   EXPECT_EQ(s.retrains_completed, 1u);
   EXPECT_EQ(s.retrains_failed, 3u);
@@ -240,28 +240,30 @@ TEST_F(BackoffTest, FailuresAreRecordedOnceAndClearedOnSuccess) {
   EXPECT_NE(s.last_error.find("injected"), std::string::npos);
   h = svc.Health();
   EXPECT_EQ(h.state, ServiceHealth::State::kHealthy);
-  EXPECT_EQ(h.generation, 1u);
-  EXPECT_EQ(h.backoff_seconds, svc.options().retrain_interval_seconds);
-  ASSERT_EQ(h.clusters.size(), svc.snapshot()->cluster_count());
-  for (const auto& c : h.clusters) EXPECT_FALSE(c.degraded);
+  EXPECT_EQ(h.shards[0].generation, 1u);
+  EXPECT_EQ(h.shards[0].backoff_cycles, 0u);
+  ASSERT_EQ(h.shards[0].clusters.size(), svc.snapshot(0)->cluster_count());
+  for (const auto& c : h.shards[0].clusters) EXPECT_FALSE(c.degraded);
 }
 
 TEST_F(BackoffTest, UntrainedHealthBeforeAnyData) {
-  ForecastService svc(FaultOptions());
-  ServiceHealth h = svc.Health();
+  ShardedForecastService svc(FaultService());
+  ShardedServiceHealth h = svc.Health();
   EXPECT_EQ(h.state, ServiceHealth::State::kUntrained);
-  EXPECT_EQ(h.generation, 0u);
-  EXPECT_TRUE(h.last_error.empty());
-  EXPECT_TRUE(h.clusters.empty());
+  ASSERT_EQ(h.shards.size(), 1u);
+  EXPECT_EQ(h.shards[0].state, ServiceHealth::State::kUntrained);
+  EXPECT_EQ(h.shards[0].generation, 0u);
+  EXPECT_TRUE(h.shards[0].last_error.empty());
+  EXPECT_TRUE(h.shards[0].clusters.empty());
+  EXPECT_EQ(h.shards[0].backoff_cycles, 0u);
 }
 
 // --------------------------------------------------------------------------
 // Input quarantine + winsorization.
 
 TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
-  ServeOptions opts = FaultOptions();
-  ForecastService clean(opts);
-  ForecastService dirty(opts);
+  ShardedForecastService clean(FaultService());
+  ShardedForecastService dirty(FaultService());
   OfferScaledBins(&clean, 2, 0, 14);
   OfferScaledBins(&dirty, 2, 0, 14);
 
@@ -284,10 +286,10 @@ TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
   EXPECT_EQ(ds.events_quarantined, 7u);
   EXPECT_EQ(ds.events_dropped, 7u);
 
-  ASSERT_TRUE(clean.RetrainOnce().ok());
-  ASSERT_TRUE(dirty.RetrainOnce().ok());
-  auto a = clean.snapshot();
-  auto b = dirty.snapshot();
+  EXPECT_EQ(clean.RetrainCycle(), (std::vector<size_t>{0}));
+  EXPECT_EQ(dirty.RetrainCycle(), (std::vector<size_t>{0}));
+  auto a = clean.snapshot(0);
+  auto b = dirty.snapshot(0);
   ASSERT_TRUE(a->trained());
   ASSERT_EQ(a->cluster_count(), b->cluster_count());
   for (size_t rank = 0; rank < a->cluster_count(); ++rank) {
@@ -300,19 +302,19 @@ TEST_F(QuarantineTest, GarbageBurstIsQuarantinedAndForecastsUnchanged) {
 }
 
 TEST_F(QuarantineTest, FiniteOutlierIsWinsorizedBeforeTraining) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(FaultService());
   OfferScaledBins(&svc, 2, 0, 14);
   // A finite positive spike passes the ingest quarantine (it could be a real
   // burst; it is recent enough to clear the lateness bound) but is ~1e10× the
   // series scale; the median/MAD clamp must pull it in before it reaches the
   // ensemble fit.
   ASSERT_TRUE(svc.Offer({0, 13 * kInterval + 60, 1e12}));
-  ASSERT_TRUE(svc.RetrainOnce().ok());
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
   ServeStats s = svc.stats();
   EXPECT_EQ(s.events_quarantined, 0u);
   EXPECT_GE(s.values_winsorized, 1u);
-  auto snap = svc.snapshot();
+  EXPECT_EQ(svc.Health().shards[0].values_winsorized, s.values_winsorized);
+  auto snap = svc.snapshot(0);
   ASSERT_TRUE(snap->trained());
   EXPECT_EQ(snap->degraded_count(), 0u);
   for (size_t rank = 0; rank < snap->cluster_count(); ++rank) {
@@ -327,20 +329,19 @@ TEST_F(QuarantineTest, FiniteOutlierIsWinsorizedBeforeTraining) {
 // Per-cluster degraded mode.
 
 TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
-  ServeOptions opts = FaultOptions();
-  ForecastService control(opts);
-  ForecastService faulted(opts);
+  ShardedForecastService control(FaultService());
+  ShardedForecastService faulted(FaultService());
   OfferScaledBins(&control, 3, 0, 14);
   OfferScaledBins(&faulted, 3, 0, 14);
 
-  ASSERT_TRUE(control.RetrainOnce().ok());
+  EXPECT_EQ(control.RetrainCycle(), (std::vector<size_t>{0}));
   // Diverge exactly the first cluster examined by the snapshot build.
   ASSERT_TRUE(fault::Configure("serve.retrain.diverge=at:0").ok());
-  ASSERT_TRUE(faulted.RetrainOnce().ok());
+  EXPECT_EQ(faulted.RetrainCycle(), (std::vector<size_t>{0}));
   fault::Reset();
 
-  auto c = control.snapshot();
-  auto f = faulted.snapshot();
+  auto c = control.snapshot(0);
+  auto f = faulted.snapshot(0);
   ASSERT_TRUE(c->trained() && f->trained());
   ASSERT_EQ(c->cluster_count(), f->cluster_count());
   ASSERT_GE(f->cluster_count(), 2u);
@@ -367,19 +368,20 @@ TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
     EXPECT_EQ(*fc, *ff);
   }
 
-  ServiceHealth h = faulted.Health();
+  ShardedServiceHealth h = faulted.Health();
   EXPECT_EQ(h.state, ServiceHealth::State::kDegraded);
-  ASSERT_EQ(h.clusters.size(), f->cluster_count());
-  EXPECT_TRUE(h.clusters[0].degraded);
-  EXPECT_FALSE(h.clusters[1].degraded);
+  ASSERT_EQ(h.shards[0].clusters.size(), f->cluster_count());
+  EXPECT_TRUE(h.shards[0].clusters[0].degraded);
+  EXPECT_EQ(h.shards[0].clusters[0].reason, d.degraded_reason);
+  EXPECT_FALSE(h.shards[0].clusters[1].degraded);
 
   // A degraded snapshot round-trips: the kernel-baseline model kind is
   // persisted and the restored service reproduces every forecast bit-for-bit.
-  auto blob = faulted.Save();
-  ASSERT_TRUE(blob.ok());
-  ForecastService restored(opts);
-  ASSERT_TRUE(restored.Load(*blob).ok());
-  auto r = restored.snapshot();
+  const std::string base = ::testing::TempDir() + "dbaugur_degraded_ckpt";
+  ASSERT_TRUE(faulted.SaveToFiles(base).ok());
+  ShardedForecastService restored(FaultService());
+  ASSERT_TRUE(restored.LoadFromFiles(base).ok());
+  auto r = restored.snapshot(0);
   ASSERT_EQ(r->cluster_count(), f->cluster_count());
   EXPECT_EQ(r->degraded_count(), 1u);
   EXPECT_EQ(r->clusters[0].model_kind,
@@ -394,18 +396,17 @@ TEST_F(DegradedModeTest, DivergedClusterFallsBackToKernelBaselineFirstTrain) {
 }
 
 TEST_F(DegradedModeTest, DivergedClusterServesLastGoodModelAfterFirstTrain) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(FaultService());
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 1, all healthy
-  ASSERT_EQ(svc.snapshot()->degraded_count(), 0u);
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));  // gen 1, healthy
+  ASSERT_EQ(svc.snapshot(0)->degraded_count(), 0u);
 
   OfferScaledBins(&svc, 2, 14, 4);
   ASSERT_TRUE(fault::Configure("serve.retrain.diverge=at:0").ok());
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 2
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));  // generation 2
   fault::Reset();
 
-  auto snap = svc.snapshot();
+  auto snap = svc.snapshot(0);
   EXPECT_EQ(snap->generation, 2u);
   ASSERT_TRUE(snap->trained());
   EXPECT_EQ(snap->degraded_count(), 1u);
@@ -420,8 +421,8 @@ TEST_F(DegradedModeTest, DivergedClusterServesLastGoodModelAfterFirstTrain) {
 
   // Recovery: the next clean cycle re-fits everything and clears the flag.
   OfferScaledBins(&svc, 2, 18, 2);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_EQ(svc.snapshot()->degraded_count(), 0u);
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
+  EXPECT_EQ(svc.snapshot(0)->degraded_count(), 0u);
   EXPECT_EQ(svc.Health().state, ServiceHealth::State::kHealthy);
 }
 
@@ -443,140 +444,254 @@ void WriteFileBytes(const std::string& path, const std::vector<uint8_t>& b) {
 }
 
 TEST_F(CheckpointFaultTest, CorruptPrimarySweepRecoversLastGood) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
-  const std::string path = ::testing::TempDir() + "dbaugur_ckpt_sweep.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  ShardedForecastService svc(FaultService());
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_sweep";
+  ShardedForecastService::RemoveFiles(base, 1);
 
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // generation 1 → primary
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 1 → primaries
   OfferScaledBins(&svc, 2, 14, 4);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // generation 2 → primary, 1 → .bak
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // generation 2 → primaries, 1 → .bak
 
-  const std::vector<uint8_t> pristine = ReadFileBytes(path);
-  ASSERT_GT(pristine.size(), 32u);
-
-  // Sanity: the intact primary restores generation 2 without recovery.
+  // Sanity: the intact primaries restore generation 2 without recovery.
   {
-    ForecastService fresh(opts);
-    bool recovered = true;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok());
-    EXPECT_FALSE(recovered);
-    EXPECT_EQ(fresh.generation(), 2u);
+    ShardedForecastService fresh(FaultService());
+    ShardedForecastService::LoadReport report;
+    report.recovered_from_backup = true;
+    ASSERT_TRUE(fresh.LoadFromFiles(base, &report).ok());
+    EXPECT_FALSE(report.recovered_from_backup);
+    EXPECT_EQ(fresh.snapshot(0)->generation, 2u);
   }
 
-  ForecastService target(opts);
-  auto expect_recovers_gen1 = [&](const std::string& what) {
-    bool recovered = false;
-    Status st = target.LoadFromFile(path, &recovered);
-    ASSERT_TRUE(st.ok()) << what << ": " << st.message();
-    EXPECT_TRUE(recovered) << what;
-    EXPECT_EQ(target.generation(), 1u) << what;
-  };
+  // Every file recovers on its own: a damaged shard file falls back to its
+  // generation-1 `.bak`, a damaged manifest to its `.bak` (same layout), so
+  // the shard keeps its generation-2 primary.
+  ShardedForecastService target(FaultService());
+  uint64_t served_gen = 0;
+  for (const std::string& path : {ShardedForecastService::ManifestPath(base),
+                                  ShardedForecastService::ShardPath(base, 0)}) {
+    const bool is_manifest = path == ShardedForecastService::ManifestPath(base);
+    const uint64_t want_gen = is_manifest ? 2u : 1u;
+    const std::vector<uint8_t> pristine = ReadFileBytes(path);
+    ASSERT_GT(pristine.size(), 32u);
+    auto expect_recovers = [&](const std::string& what) {
+      ShardedForecastService::LoadReport report;
+      Status st = target.LoadFromFiles(base, &report);
+      ASSERT_TRUE(st.ok()) << path << " " << what << ": " << st.message();
+      EXPECT_TRUE(report.recovered_from_backup) << path << " " << what;
+      EXPECT_FALSE(report.migrated) << path << " " << what;
+      EXPECT_EQ(target.snapshot(0)->generation, want_gen)
+          << path << " " << what;
+      served_gen = want_gen;
+    };
 
-  // Truncations: empty file, mid-header, mid-payload, missing footer byte.
-  for (size_t len : {size_t{0}, size_t{7}, size_t{15}, pristine.size() / 2,
-                     pristine.size() - 1}) {
-    std::vector<uint8_t> cut(pristine.begin(),
-                             pristine.begin() + static_cast<long>(len));
-    WriteFileBytes(path, cut);
-    expect_recovers_gen1("truncate to " + std::to_string(len));
+    // Truncations: empty file, mid-header, mid-payload, missing footer byte.
+    for (size_t len : {size_t{0}, size_t{7}, size_t{15}, pristine.size() / 2,
+                       pristine.size() - 1}) {
+      std::vector<uint8_t> cut(pristine.begin(),
+                               pristine.begin() + static_cast<long>(len));
+      WriteFileBytes(path, cut);
+      expect_recovers("truncate to " + std::to_string(len));
+    }
+
+    // Bit flips: every byte of the 16-byte header and 4-byte CRC footer,
+    // plus a stride sweep across the CRC-covered payload. Every single flip
+    // must be caught by the frame checks and recover to the `.bak` copy.
+    std::vector<size_t> positions;
+    for (size_t i = 0; i < 16; ++i) positions.push_back(i);
+    for (size_t i = pristine.size() - 4; i < pristine.size(); ++i) {
+      positions.push_back(i);
+    }
+    size_t stride = std::max<size_t>(1, (pristine.size() - 20) / 64);
+    for (size_t i = 16; i + 4 < pristine.size(); i += stride) {
+      positions.push_back(i);
+    }
+    for (size_t pos : positions) {
+      std::vector<uint8_t> bad = pristine;
+      bad[pos] ^= 0x40;
+      WriteFileBytes(path, bad);
+      expect_recovers("flip byte " + std::to_string(pos));
+    }
+    WriteFileBytes(path, pristine);
   }
 
-  // Bit flips: every byte of the 16-byte header and 4-byte CRC footer, plus a
-  // stride sweep across the CRC-covered payload. Every single flip must be
-  // caught by the frame checks and recover to the .bak generation.
-  std::vector<size_t> positions;
-  for (size_t i = 0; i < 16; ++i) positions.push_back(i);
-  for (size_t i = pristine.size() - 4; i < pristine.size(); ++i) {
-    positions.push_back(i);
-  }
-  size_t stride = std::max<size_t>(1, (pristine.size() - 20) / 64);
-  for (size_t i = 16; i + 4 < pristine.size(); i += stride) {
-    positions.push_back(i);
-  }
-  for (size_t pos : positions) {
-    std::vector<uint8_t> bad = pristine;
-    bad[pos] ^= 0x40;
-    WriteFileBytes(path, bad);
-    expect_recovers_gen1("flip byte " + std::to_string(pos));
-  }
+  // A shard primary that passes its checksum but fails validation (payload
+  // cut by one byte, re-framed with a valid CRC) falls back to `.bak` too:
+  // here the generation-2 file the re-framing rotated there.
+  const std::string shard_path = ShardedForecastService::ShardPath(base, 0);
+  auto payload = ::dbaugur::LoadFromFile(shard_path);
+  ASSERT_TRUE(payload.ok());
+  payload->blob.pop_back();
+  ASSERT_TRUE(::dbaugur::SaveToFile(shard_path, payload->blob).ok());
+  ShardedForecastService::LoadReport report;
+  ASSERT_TRUE(target.LoadFromFiles(base, &report).ok());
+  EXPECT_TRUE(report.recovered_from_backup);
+  EXPECT_EQ(target.snapshot(0)->generation, 2u);
+  served_gen = 2;
 
-  // Both copies destroyed → a descriptive error, and the target keeps
-  // serving whatever it had (the last recovered generation).
-  WriteFileBytes(path, std::vector<uint8_t>{1, 2, 3});
-  WriteFileBytes(path + ".bak", std::vector<uint8_t>{4, 5, 6});
-  bool recovered = false;
-  EXPECT_FALSE(target.LoadFromFile(path, &recovered).ok());
-  EXPECT_EQ(target.generation(), 1u);
+  // Both copies of the shard file destroyed → a descriptive error, and the
+  // target keeps serving whatever it had (the last recovered generation).
+  WriteFileBytes(shard_path, std::vector<uint8_t>{1, 2, 3});
+  WriteFileBytes(shard_path + ".bak", std::vector<uint8_t>{4, 5, 6});
+  EXPECT_FALSE(target.LoadFromFiles(base).ok());
+  EXPECT_EQ(target.snapshot(0)->generation, served_gen);
 
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  ShardedForecastService::RemoveFiles(base, 1);
 }
 
 TEST_F(CheckpointFaultTest, InjectedSaveFaultsNeverDamageThePreviousFile) {
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
-  const std::string path = ::testing::TempDir() + "dbaugur_ckpt_faults.bin";
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
+  ShardedForecastService svc(FaultService());
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_faults";
+  const std::string manifest = ShardedForecastService::ManifestPath(base);
+  const std::string shard_path = ShardedForecastService::ShardPath(base, 0);
+  ShardedForecastService::RemoveFiles(base, 1);
 
   OfferScaledBins(&svc, 2, 0, 14);
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  ASSERT_TRUE(svc.SaveToFile(path).ok());  // good generation-1 checkpoint
-  const std::vector<uint8_t> good = ReadFileBytes(path);
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());  // good generation-1 checkpoint
+  const std::vector<uint8_t> good = ReadFileBytes(shard_path);
+  const std::vector<uint8_t> good_manifest = ReadFileBytes(manifest);
 
   OfferScaledBins(&svc, 2, 14, 4);
-  ASSERT_TRUE(svc.RetrainOnce().ok());  // generation 2, not yet on disk
+  EXPECT_EQ(svc.RetrainCycle(), (std::vector<size_t>{0}));  // gen 2, unsaved
 
   // Torn write / failed fsync abort before any rename: the installed
-  // generation-1 primary is untouched, byte for byte.
+  // generation-1 files are untouched, byte for byte.
   for (const char* site : {"binio.save.write", "binio.save.sync"}) {
     ASSERT_TRUE(fault::Configure(std::string(site) + "=n:1").ok());
-    EXPECT_FALSE(svc.SaveToFile(path).ok()) << site;
+    EXPECT_FALSE(svc.SaveToFiles(base).ok()) << site;
     fault::Reset();
-    EXPECT_EQ(ReadFileBytes(path), good) << site;
-    ForecastService fresh(opts);
-    bool recovered = true;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok()) << site;
-    EXPECT_FALSE(recovered) << site;
-    EXPECT_EQ(fresh.generation(), 1u) << site;
+    EXPECT_EQ(ReadFileBytes(shard_path), good) << site;
+    EXPECT_EQ(ReadFileBytes(manifest), good_manifest) << site;
+    ShardedForecastService fresh(FaultService());
+    ShardedForecastService::LoadReport report;
+    report.recovered_from_backup = true;
+    ASSERT_TRUE(fresh.LoadFromFiles(base, &report).ok()) << site;
+    EXPECT_FALSE(report.recovered_from_backup) << site;
+    EXPECT_EQ(fresh.snapshot(0)->generation, 1u) << site;
   }
 
   // A failed final rename is the crash window between the two renames: the
-  // primary has already moved to `.bak`, and recovery serves it from there.
+  // shard primary has already moved to `.bak`, and recovery serves it from
+  // there.
   ASSERT_TRUE(fault::Configure("binio.save.rename=n:1").ok());
-  EXPECT_FALSE(svc.SaveToFile(path).ok());
+  EXPECT_FALSE(svc.SaveToFiles(base).ok());
   fault::Reset();
   {
-    ForecastService fresh(opts);
-    bool recovered = false;
-    ASSERT_TRUE(fresh.LoadFromFile(path, &recovered).ok());
-    EXPECT_TRUE(recovered);
-    EXPECT_EQ(fresh.generation(), 1u);
-    EXPECT_EQ(ReadFileBytes(path + ".bak"), good);
+    ShardedForecastService fresh(FaultService());
+    ShardedForecastService::LoadReport report;
+    ASSERT_TRUE(fresh.LoadFromFiles(base, &report).ok());
+    EXPECT_TRUE(report.recovered_from_backup);
+    EXPECT_EQ(fresh.snapshot(0)->generation, 1u);
+    EXPECT_EQ(ReadFileBytes(shard_path + ".bak"), good);
   }
 
   // With faults cleared the pending generation lands, atomically.
-  ASSERT_TRUE(svc.SaveToFile(path).ok());
-  ForecastService fresh(opts);
-  ASSERT_TRUE(fresh.LoadFromFile(path, nullptr).ok());
-  EXPECT_EQ(fresh.generation(), 2u);
+  ASSERT_TRUE(svc.SaveToFiles(base).ok());
+  ShardedForecastService fresh(FaultService());
+  ASSERT_TRUE(fresh.LoadFromFiles(base, nullptr).ok());
+  EXPECT_EQ(fresh.snapshot(0)->generation, 2u);
 
-  std::remove(path.c_str());
-  std::remove((path + ".bak").c_str());
-  std::remove((path + ".tmp").c_str());
+  ShardedForecastService::RemoveFiles(base, 1);
 }
 
 TEST_F(CheckpointFaultTest, LoadFromMissingFileFails) {
-  ForecastService svc(FaultOptions());
-  Status st =
-      svc.LoadFromFile(::testing::TempDir() + "dbaugur_no_such_ckpt.bin");
+  ShardedForecastService svc(FaultService());
+  Status st = svc.LoadFromFiles(::testing::TempDir() + "dbaugur_no_such_ckpt");
   EXPECT_FALSE(st.ok());
-  EXPECT_EQ(svc.generation(), 0u);
+  EXPECT_EQ(svc.snapshot(0)->generation, 0u);
+}
+
+// Crafted checkpoints: files written through the CRC-framed writer, so only
+// the service-level parse stands between an absurd element count and a giant
+// allocation. Each must come back as a clean InvalidArgument while the
+// service keeps serving its current generation.
+
+/// Overwrites the 8 little-endian bytes at `pos` with `v`.
+void PatchU64(std::vector<uint8_t>* blob, size_t pos, uint64_t v) {
+  ASSERT_LE(pos + 8, blob->size());
+  for (int i = 0; i < 8; ++i) {
+    (*blob)[pos + static_cast<size_t>(i)] = static_cast<uint8_t>(v >> (8 * i));
+  }
+}
+
+/// A trained one-shard service with a saved generation-1 checkpoint at
+/// `base`; returns the verified manifest and shard payloads.
+void TrainAndSave(ShardedForecastService* svc, const std::string& base,
+                  std::vector<uint8_t>* manifest, std::vector<uint8_t>* shard) {
+  ShardedForecastService::RemoveFiles(base, 1);
+  OfferScaledBins(svc, 2, 0, 14);
+  EXPECT_EQ(svc->RetrainCycle(), (std::vector<size_t>{0}));
+  ASSERT_TRUE(svc->SaveToFiles(base).ok());
+  auto m = ::dbaugur::LoadFromFile(ShardedForecastService::ManifestPath(base));
+  auto s = ::dbaugur::LoadFromFile(ShardedForecastService::ShardPath(base, 0));
+  ASSERT_TRUE(m.ok() && s.ok());
+  *manifest = m->blob;
+  *shard = s->blob;
+  // Crafted files written below must not find a `.bak`.
+  ShardedForecastService::RemoveFiles(base, 1);
+}
+
+void ExpectRejectedAndStillServing(ShardedForecastService* svc,
+                                   const std::string& base) {
+  auto before = svc->snapshot(0);
+  ASSERT_EQ(before->generation, 1u);
+  auto f_before = before->ForecastCluster(0);
+  ASSERT_TRUE(f_before.ok());
+  Status st = svc->LoadFromFiles(base);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_EQ(svc->snapshot(0)->generation, 1u);
+  auto f_after = svc->snapshot(0)->ForecastCluster(0);
+  ASSERT_TRUE(f_after.ok());
+  EXPECT_EQ(*f_after, *f_before);
+}
+
+TEST_F(CheckpointFaultTest, OversizedManifestShardCountIsRejected) {
+  ShardedForecastService svc(FaultService());
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_huge_count";
+  std::vector<uint8_t> manifest, shard;
+  TrainAndSave(&svc, base, &manifest, &shard);
+  // Manifest layout: U32 magic, U32 version, U64 shard_count, ...
+  PatchU64(&manifest, 8, uint64_t{1} << 40);
+  ASSERT_TRUE(::dbaugur::SaveToFile(ShardedForecastService::ManifestPath(base),
+                                    manifest)
+                  .ok());
+  ASSERT_TRUE(
+      ::dbaugur::SaveToFile(ShardedForecastService::ShardPath(base, 0), shard)
+          .ok());
+  ExpectRejectedAndStillServing(&svc, base);
+  ShardedForecastService::RemoveFiles(base, 1);
+}
+
+TEST_F(CheckpointFaultTest, OversizedSnapshotTraceCountIsRejected) {
+  ShardedForecastService svc(FaultService());
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_huge_traces";
+  std::vector<uint8_t> manifest, shard;
+  TrainAndSave(&svc, base, &manifest, &shard);
+  // Shard file layout: U32 magic, U32 version, U64 shard_count, U64 shard_id,
+  // then the state section: U64 generation, Bytes(retrainer state), U8
+  // trained, Bytes(snapshot). The snapshot opens with U32 magic, U32
+  // version, U64 generation, U64 trace count.
+  BufReader r(shard);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  std::vector<uint8_t> retrainer_state;
+  uint8_t trained = 0;
+  ASSERT_TRUE(r.U32(&u32) && r.U32(&u32) && r.U64(&u64) && r.U64(&u64) &&
+              r.U64(&u64) && r.Bytes(&retrainer_state) && r.U8(&trained) &&
+              r.U32(&u32));
+  ASSERT_EQ(trained, 1);
+  PatchU64(&shard, r.pos() + 16, uint64_t{1} << 58);
+  ASSERT_TRUE(::dbaugur::SaveToFile(ShardedForecastService::ManifestPath(base),
+                                    manifest)
+                  .ok());
+  ASSERT_TRUE(
+      ::dbaugur::SaveToFile(ShardedForecastService::ShardPath(base, 0), shard)
+          .ok());
+  ExpectRejectedAndStillServing(&svc, base);
+  ShardedForecastService::RemoveFiles(base, 1);
 }
 
 // --------------------------------------------------------------------------
@@ -680,8 +795,7 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
   }
   ASSERT_TRUE(fault::Configure(spec).ok()) << "bad DBAUGUR_FAULT_SPEC";
 
-  ServeOptions opts = FaultOptions();
-  ForecastService svc(opts);
+  ShardedForecastService svc(FaultService());
   // Offers may bounce under an ingest-corruption storm — that is the point —
   // so unlike OfferScaledBins this helper tolerates rejection.
   auto offer_bins = [&svc](int64_t first_bin, int64_t bins) {
@@ -694,14 +808,17 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
       }
     }
   };
+  // The storm retrains the shard directly, one attempt per cycle, so every
+  // attempt's status is observed (the scheduler would back failures off).
+  ServiceShard& shard = svc.shard(0);
   offer_bins(0, 14);
   // Drive cycles synchronously (1-core friendly) while the storm rages:
   // failures must be recorded, never published, and never fatal.
   int failures = 0;
   for (int cycle = 0; cycle < 8; ++cycle) {
     offer_bins(14 + 2 * cycle, 2);
-    if (!svc.RetrainOnce().ok()) ++failures;
-    auto snap = svc.snapshot();
+    if (!shard.RetrainOnce().ok()) ++failures;
+    auto snap = svc.snapshot(0);
     ASSERT_NE(snap, nullptr);
     if (snap->trained()) {
       auto f = snap->ForecastCluster(0);
@@ -711,8 +828,8 @@ TEST_F(ServeFaultChaosTest, SurvivesEnvConfiguredFaultStorm) {
   }
   // Once the storm clears, the service recovers to a healthy publish.
   fault::Reset();
-  ASSERT_TRUE(svc.RetrainOnce().ok());
-  EXPECT_GE(svc.generation(), 1u);
+  ASSERT_TRUE(shard.RetrainOnce().ok());
+  EXPECT_GE(shard.generation(), 1u);
   ServeStats s = svc.stats();
   EXPECT_EQ(s.retrains_failed, static_cast<uint64_t>(failures));
   EXPECT_EQ(s.consecutive_failures, 0u);

@@ -1,7 +1,7 @@
 // Sharded serving tests: hash routing invariants, deterministic priority
-// scheduling with a starvation bound, shard_count=1 bit-identity against
-// ForecastService, multi-shard per-cluster forecast identity against a
-// single-shard reference, per-shard seed-stream positions across save/load,
+// scheduling with a starvation bound, shard_count=1 bit-identity against a
+// bare ServiceShard, multi-shard per-cluster forecast identity against a
+// single-shard service, per-shard seed-stream positions across save/load,
 // re-hash migration key-set equality, and a concurrent producers + readers +
 // scheduler smoke the sanitizer presets (ASan/TSan) exercise.
 
@@ -17,9 +17,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/binio.h"
 #include "common/hashing.h"
 #include "serve/retrain_scheduler.h"
-#include "serve/service.h"
+#include "serve/shard.h"
 #include "serve/sharded_service.h"
 #include "serve/snapshot.h"
 
@@ -195,11 +196,12 @@ TEST(RetrainSchedulerTest, StarvationBoundHoldsUnderConstantPressure) {
 }
 
 // ---------------------------------------------------------------------------
-// shard_count = 1: bit-identical to ForecastService.
+// shard_count = 1: bit-identical to a bare ServiceShard. The scheduler, the
+// worker pool and the multi-file checkpoint change no forecast.
 
-TEST(ShardedServiceTest, SingleShardIsBitIdenticalToForecastService) {
+TEST(ShardedServiceTest, SingleShardIsBitIdenticalToBareShard) {
   ServeOptions base = FastOptions();
-  ForecastService reference(base);
+  ServiceShard reference(base, /*shard_id=*/0);
   ShardedServeOptions so;
   so.shard = base;
   so.shard_count = 1;
@@ -249,13 +251,28 @@ TEST(ShardedServiceTest, SingleShardIsBitIdenticalToForecastService) {
   const std::string base_path = ::testing::TempDir() + "dbaugur_shard1_ckpt";
   ASSERT_TRUE(sharded.SaveToFiles(base_path).ok());
   ShardedForecastService restored(so);
-  bool migrated = true;
-  ASSERT_TRUE(restored.LoadFromFiles(base_path, &migrated).ok());
-  EXPECT_FALSE(migrated);
-  auto blob = reference.Save();
-  ASSERT_TRUE(blob.ok());
-  ForecastService reference2(base);
-  ASSERT_TRUE(reference2.Load(*blob).ok());
+  ShardedForecastService::LoadReport report;
+  report.migrated = true;
+  ASSERT_TRUE(restored.LoadFromFiles(base_path, &report).ok());
+  EXPECT_FALSE(report.migrated);
+  BufWriter section;
+  ASSERT_TRUE(reference.SaveStateSection(&section).ok());
+  const std::vector<uint8_t> blob = section.Take();
+  // The shard file carries exactly the bare shard's state section behind its
+  // 24-byte header (magic, version, shard_count, shard_id).
+  auto shard_file =
+      ::dbaugur::LoadFromFile(ShardedForecastService::ShardPath(base_path, 0));
+  ASSERT_TRUE(shard_file.ok());
+  ASSERT_GE(shard_file->blob.size(), 24u);
+  EXPECT_EQ(std::vector<uint8_t>(shard_file->blob.begin() + 24,
+                                 shard_file->blob.end()),
+            blob);
+  ServiceShard reference2(base, /*shard_id=*/0);
+  BufReader r(blob);
+  auto parsed = reference2.ParseStateSection(&r);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(r.AtEnd());
+  reference2.InstallParsedState(std::move(parsed).value());
 
   for (int64_t b = 14; b < 16; ++b) {
     for (uint32_t t = 0; t < 6; ++t) {
@@ -306,9 +323,11 @@ TEST(ShardedServiceTest, MultiShardClustersMatchSingleShardBitIdentical) {
   // Traces within a group are identical (z-normalized DTW distance 0); a
   // tight radius keeps the three groups from chaining into one cluster.
   base.pipeline.clustering.radius = 1.0;
-  ForecastService reference(base);
-  ShardedServeOptions so;
-  so.shard = base;
+  ShardedServeOptions one;
+  one.shard = base;
+  one.shard_count = 1;
+  ShardedForecastService reference(one);
+  ShardedServeOptions so = one;
   so.shard_count = kShards;
   ShardedForecastService sharded(so);
 
@@ -321,11 +340,11 @@ TEST(ShardedServiceTest, MultiShardClustersMatchSingleShardBitIdentical) {
       }
     }
   }
-  ASSERT_TRUE(reference.RetrainOnce().ok());
+  EXPECT_EQ(reference.RetrainCycle(), (std::vector<size_t>{0}));
   std::vector<size_t> order = sharded.RetrainCycle();
   EXPECT_EQ(order.size(), kShards);  // every shard had pending traffic
 
-  auto ref_map = ClusterForecastsByMembers(*reference.snapshot());
+  auto ref_map = ClusterForecastsByMembers(*reference.snapshot(0));
   ASSERT_EQ(ref_map.size(), kShards);  // one cluster per group
   size_t matched = 0;
   for (size_t s = 0; s < kShards; ++s) {
@@ -430,9 +449,10 @@ TEST(ShardedServiceTest, MigrationAcrossShardCountsLosesNoClusterKeys) {
   ShardedServeOptions two = four;
   two.shard_count = 2;
   ShardedForecastService svc2(two);
-  bool migrated = false;
-  ASSERT_TRUE(svc2.LoadFromFiles(base_path, &migrated).ok());
-  EXPECT_TRUE(migrated);
+  ShardedForecastService::LoadReport report;
+  ASSERT_TRUE(svc2.LoadFromFiles(base_path, &report).ok());
+  EXPECT_TRUE(report.migrated);
+  EXPECT_FALSE(report.recovered_from_backup);
   // Migration restores shards untrained (snapshots cannot be re-keyed); one
   // event per template makes every shard pending so one cycle rebuilds all.
   for (uint32_t id = 0; id < 24; ++id) {

@@ -189,7 +189,7 @@ TEST(OverloadControllerTest, ZeroGrowCyclesDisablesAdaptation) {
   for (uint64_t backlog = 1; backlog <= 20; ++backlog) {
     EXPECT_EQ(c.Observe(backlog), 0u);
   }
-  EXPECT_EQ(c.IntervalScale(), 1.0);
+  EXPECT_EQ(OverloadIntervalScale(c.level()), 1.0);
 }
 
 TEST(OverloadControllerTest, DegradedBudgetHalvesPerLevelWithUnitFloor) {
@@ -201,21 +201,38 @@ TEST(OverloadControllerTest, DegradedBudgetHalvesPerLevelWithUnitFloor) {
   // Level 0: an explicit budget passes through; 0 means "every shard".
   EXPECT_EQ(c.DegradedBudget(8, 16), 8u);
   EXPECT_EQ(c.DegradedBudget(0, 16), 16u);
-  EXPECT_EQ(c.IntervalScale(), 1.0);
+  EXPECT_EQ(OverloadIntervalScale(c.level()), 1.0);
   uint64_t backlog = 0;
   auto escalate = [&] { (void)c.Observe(++backlog); (void)c.Observe(++backlog); };
   escalate();  // level 1 (first Observe seeds have_last)
   EXPECT_EQ(c.level(), 1u);
   EXPECT_EQ(c.DegradedBudget(8, 16), 4u);
   EXPECT_EQ(c.DegradedBudget(0, 16), 8u);
-  EXPECT_EQ(c.IntervalScale(), 2.0);
+  EXPECT_EQ(OverloadIntervalScale(c.level()), 2.0);
   (void)c.Observe(++backlog);  // level 2
   EXPECT_EQ(c.DegradedBudget(8, 16), 2u);
   (void)c.Observe(++backlog);  // level 3
   EXPECT_EQ(c.DegradedBudget(8, 16), 1u);
   (void)c.Observe(++backlog);  // level 4: floor holds at 1, never 0
   EXPECT_EQ(c.DegradedBudget(8, 16), 1u);
-  EXPECT_EQ(c.IntervalScale(), 16.0);
+  EXPECT_EQ(OverloadIntervalScale(c.level()), 16.0);
+}
+
+TEST(OverloadControllerTest, IntervalScaleIsExactUpToTheLevelCap) {
+  for (uint64_t level = 0; level <= kMaxOverloadLevel; ++level) {
+    EXPECT_EQ(OverloadIntervalScale(level),
+              std::ldexp(1.0, static_cast<int>(level)));
+  }
+}
+
+TEST(OverloadControllerDeathTest, ServiceRejectsMaxLevelAboveTheCap) {
+  ShardedServeOptions so;
+  so.overload.max_level = kMaxOverloadLevel;
+  { ShardedForecastService at_cap(so); }  // the cap itself is accepted
+  // Past the cap, 2^level would overflow the 64-bit shift (level >= 64) or
+  // the scheduler's wait duration long before that.
+  so.overload.max_level = 64;
+  EXPECT_DEATH({ ShardedForecastService svc(so); }, "max_level");
 }
 
 // ---------------------------------------------------------------------------

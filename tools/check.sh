@@ -8,6 +8,9 @@
 #                          fault storm armed, plus bench/chaos_soak --smoke)
 #   2d. Hang-storm smoke  (watchdog cancellation / degraded-stale / overload
 #                          slice re-run explicitly under ASan)
+#   2e. Benchmark harness (python3 perfbench/run.py --selftest: builds the
+#                          perfbench package against the serving API, runs its
+#                          helper tests and a smoke run of every workload)
 #   3. TSan               (skipped with a warning if the toolchain lacks it)
 #   3b. Workers stress    (serve_workers suite repeated under TSan — worker
 #                          pool, watchdog, checkpoint-vs-cancel races)
@@ -22,8 +25,9 @@
 # Every future perf PR must pass this script before landing (see ROADMAP.md).
 #
 # Usage: tools/check.sh [--fast]
-#   --fast  skip the chaos stage, TSan, clang-tidy, thread-safety and lint
-#           (inner-loop use; CI runs the full set)
+#   --fast  skip the chaos stage, the benchmark harness self-test, TSan,
+#           clang-tidy, thread-safety and lint (inner-loop use; CI runs the
+#           full set)
 set -uo pipefail
 
 cd "$(dirname "$0")/.."
@@ -191,6 +195,25 @@ elif [[ -f build-asan/CTestTestfile.cmake ]]; then
   fi
 else
   record "hang-storm-asan" "SKIPPED (ASan build failed)"
+fi
+
+# --- 2e. Benchmark harness self-test: perfbench/ is a separate CMake package
+# that compiles against the serving API, so an API change that breaks it
+# would otherwise pass every stage above. --selftest builds it (into
+# .bench_build/), runs its helper tests and a smoke run of every workload.
+if [[ "$FAST" == 1 ]]; then
+  record "perfbench-selftest" "SKIPPED (--fast)"
+elif command -v python3 > /dev/null 2>&1; then
+  note "perfbench: python3 perfbench/run.py --selftest"
+  if python3 perfbench/run.py --selftest > perfbench-selftest.log 2>&1; then
+    record "perfbench-selftest" "OK"
+  else
+    tail -30 perfbench-selftest.log
+    record "perfbench-selftest" "FAIL"
+  fi
+else
+  echo "WARNING: python3 not found on PATH; skipping the perfbench self-test"
+  record "perfbench-selftest" "SKIPPED (python3 not installed)"
 fi
 
 # --- 3. TSan (if the toolchain supports it). ---------------------------------
