@@ -1,15 +1,23 @@
 // Clustering ablation (supports the §IV claims): DTW vs lock-step Euclidean
 // distance for grouping time-shifted workload families; the LB_Kim/LB_Keogh
-// cascade's pruning effectiveness; Ball-Tree recall under the non-metric
-// DTW distance; plus google-benchmark microbenchmarks of the distance
-// kernels.
+// cascade's pruning effectiveness; the candidate grid's pair count against
+// n(n-1)/2; Ball-Tree recall under the non-metric DTW distance; plus
+// google-benchmark microbenchmarks of the distance kernels.
+//
+// Every Descender run is checked against a brute-force all-pairs DTW
+// clustering, and the many-cluster leg must return fewer grid candidates than
+// pairs; the binary exits 1 if either check fails. --smoke runs the legs and
+// checks but skips the microbenchmarks.
 
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
+#include <deque>
 #include <map>
+#include <set>
 
 #include "cluster/ball_tree.h"
 #include "cluster/descender.h"
@@ -38,6 +46,76 @@ double RandIndex(const std::vector<int>& labels,
   return total ? static_cast<double>(agree) / static_cast<double>(total) : 1.0;
 }
 
+// Labels of DBSCAN over the all-pairs DTW adjacency, expanded in index order
+// exactly as Descender documents: the brute-force reference every leg's
+// Descender must reproduce.
+std::vector<int> BruteForceLabels(const std::vector<ts::Series>& traces,
+                                  const cluster::DescenderOptions& opts) {
+  const size_t n = traces.size();
+  std::vector<std::vector<double>> dv;
+  for (const ts::Series& t : traces) {
+    std::vector<double> v = t.values();
+    if (opts.znormalize) {
+      double mean = 0.0, var = 0.0;
+      for (double x : v) mean += x;
+      mean /= static_cast<double>(v.size());
+      for (double x : v) var += (x - mean) * (x - mean);
+      double sd = std::sqrt(var / static_cast<double>(v.size()));
+      if (sd <= 0.0) sd = 1.0;
+      for (double& x : v) x = (x - mean) / sd;
+    }
+    dv.push_back(std::move(v));
+  }
+  std::vector<std::vector<size_t>> adj(n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < n; ++j) {
+      auto d = dtw::DtwDistance(dv[i], dv[j], opts.dtw);
+      if (i != j && d.ok() && *d <= opts.radius) adj[i].push_back(j);
+    }
+  }
+  std::vector<int> labels(n, -1);
+  int next = 0;
+  auto core = [&](size_t i) { return adj[i].size() + 1 >= opts.min_size; };
+  for (size_t seed = 0; seed < n; ++seed) {
+    if (!core(seed) || labels[seed] != -1) continue;
+    const int cid = next++;
+    std::deque<size_t> frontier{seed};
+    labels[seed] = cid;
+    while (!frontier.empty()) {
+      const size_t cur = frontier.front();
+      frontier.pop_front();
+      for (size_t nb : adj[cur]) {
+        if (labels[nb] != -1) continue;
+        labels[nb] = cid;
+        if (core(nb)) frontier.push_back(nb);
+      }
+    }
+  }
+  for (int& l : labels) {
+    if (l == -1) l = next++;
+  }
+  return labels;
+}
+
+// True iff `d` labels every trace exactly as the brute-force reference.
+bool MatchesBruteForce(const cluster::Descender& d,
+                       const std::vector<ts::Series>& traces,
+                       const cluster::DescenderOptions& opts,
+                       const char* leg) {
+  const std::vector<int> want = BruteForceLabels(traces, opts);
+  for (size_t i = 0; i < traces.size(); ++i) {
+    if (d.label(i) != want[i]) {
+      std::fprintf(stderr,
+                   "FAIL %s: trace %zu labeled %d, brute-force DTW says %d\n",
+                   leg, i, d.label(i), want[i]);
+      return false;
+    }
+  }
+  return true;
+}
+
+int64_t PairCount(size_t n) { return static_cast<int64_t>(n * (n - 1) / 2); }
+
 // Builds three warped families plus ground truth. Geometry: period 32, so
 // the three phases sit ~10.7 steps apart; member shifts are <= 2 steps, so a
 // DTW band of 4 absorbs every intra-family shift while leaving >= 2.7 steps
@@ -56,7 +134,8 @@ void MakeFamilies(std::vector<ts::Series>* traces, std::vector<int>* truth) {
   }
 }
 
-void ClusteringQuality() {
+bool ClusteringQuality() {
+  bool ok = true;
   std::vector<ts::Series> traces;
   std::vector<int> truth;
   MakeFamilies(&traces, &truth);
@@ -71,7 +150,8 @@ void ClusteringQuality() {
     dopts.min_size = 3;
     dopts.dtw.window = 4;
     cluster::Descender dtw_desc(dopts);
-    if (!dtw_desc.AddTraces(traces).ok()) continue;
+    if (!dtw_desc.AddTraces(traces).ok()) return false;
+    ok &= MatchesBruteForce(dtw_desc, traces, dopts, "quality DTW");
     std::vector<int> dtw_labels(traces.size());
     for (size_t i = 0; i < traces.size(); ++i) dtw_labels[i] = dtw_desc.label(i);
     table.AddRow({"DTW(w=4)", TablePrinter::Fmt(radius, 1),
@@ -81,7 +161,8 @@ void ClusteringQuality() {
     cluster::DescenderOptions eopts = dopts;
     eopts.dtw.window = 0;
     cluster::Descender euc_desc(eopts);
-    if (!euc_desc.AddTraces(traces).ok()) continue;
+    if (!euc_desc.AddTraces(traces).ok()) return false;
+    ok &= MatchesBruteForce(euc_desc, traces, eopts, "quality Euclidean");
     std::vector<int> euc_labels(traces.size());
     for (size_t i = 0; i < traces.size(); ++i) euc_labels[i] = euc_desc.label(i);
     table.AddRow({"Euclidean", TablePrinter::Fmt(radius, 1),
@@ -90,6 +171,7 @@ void ClusteringQuality() {
   }
   table.Print();
   std::printf("\n");
+  return ok;
 }
 
 void CascadeStats() {
@@ -134,7 +216,7 @@ void CascadeStats() {
 // wall-clock, full-DTW count, and a label-identity check. The batch path
 // must win on full DTW evaluations (symmetric two-sided LB_Keogh) without
 // changing a single label.
-void BatchVsSequential() {
+bool BatchVsSequential() {
   std::printf("=== Ablation: batch vs sequential ingestion ===\n");
   std::vector<ts::Series> traces;
   for (int fam = 0; fam < 6; ++fam) {
@@ -165,7 +247,7 @@ void BatchVsSequential() {
   cluster::Descender seq(seq_opts);
   auto t0 = Clock::now();
   for (const auto& s : traces) {
-    if (!seq.AddTrace(s).ok()) return;
+    if (!seq.AddTrace(s).ok()) return false;
   }
   double seq_ms = run_ms(t0);
 
@@ -176,12 +258,16 @@ void BatchVsSequential() {
     return true;
   };
 
-  TablePrinter table({"ingestion", "wall ms", "full DTW", "LB_Kim rej",
-                      "LB_Keogh rej", "labels==seq"});
+  bool ok = MatchesBruteForce(seq, traces, seq_opts, "sequential AddTrace");
+  TablePrinter table({"ingestion", "wall ms", "candidates", "n(n-1)/2",
+                      "full DTW", "LB_Kim rej", "LB_Keogh rej",
+                      "labels==seq"});
   auto add_row = [&](const char* name, double ms,
                      const cluster::Descender& d) {
     const dtw::PruningStats& st = d.pruning_stats();
     table.AddRow({name, TablePrinter::Fmt(ms, 1),
+                  std::to_string(st.candidates),
+                  std::to_string(PairCount(traces.size())),
                   std::to_string(st.full_dtw),
                   std::to_string(st.kim_rejections),
                   std::to_string(st.keogh_rejections),
@@ -196,16 +282,64 @@ void BatchVsSequential() {
     bopts.threads = threads;
     cluster::Descender batch(bopts);
     t0 = Clock::now();
-    if (!batch.AddTraces(traces).ok()) return;
+    if (!batch.AddTraces(traces).ok()) return false;
     double ms = run_ms(t0);
     std::string name = "batch AddTraces (threads=" + std::to_string(threads) + ")";
     add_row(name.c_str(), ms, batch);
+    ok &= MatchesBruteForce(batch, traces, bopts, "batch AddTraces");
   }
   table.Print();
   std::printf(
       "(Batch's win on full DTW comes from the symmetric two-sided LB_Keogh:\n"
       "both envelopes exist up front, so each pair gets the tighter bound.\n"
       "Sequential relabels after every insert on top of that.)\n\n");
+  return ok;
+}
+
+// The candidate grid on a many-cluster workload: 30 phase families, each at
+// its own level, clustered without z-normalization, so the (first, last)
+// keys spread over many cells. The grid must return fewer candidates than
+// the n(n-1)/2 pairs an all-pairs scan evaluates, with the brute-force
+// labels.
+bool IndexLeg() {
+  std::printf("=== Ablation: candidate grid on a many-cluster workload ===\n");
+  std::vector<ts::Series> traces;
+  for (int k = 0; k < 30; ++k) {
+    workloads::WarpedFamilyOptions opts;
+    opts.members = 10;
+    opts.max_shift = 2.0;
+    opts.phase = k * 2.0 * M_PI / 30.0;
+    opts.seed = 200 + static_cast<uint64_t>(k);
+    for (auto& s : workloads::GenerateWarpedFamily(opts)) {
+      for (double& x : s.mutable_values()) x += 4.0 * k;
+      traces.push_back(std::move(s));
+    }
+  }
+  cluster::DescenderOptions opts;
+  opts.radius = 2.0;
+  opts.min_size = 3;
+  opts.dtw.window = 4;
+  opts.znormalize = false;
+  cluster::Descender d(opts);
+  if (!d.AddTraces(traces).ok()) return false;
+  const dtw::PruningStats& st = d.pruning_stats();
+  const int64_t pairs = PairCount(traces.size());
+  TablePrinter t({"traces", "clusters", "candidates", "n(n-1)/2",
+                  "LB_Kim rej", "LB_Keogh rej", "full DTW"});
+  t.AddRow({std::to_string(traces.size()), std::to_string(d.cluster_count()),
+            std::to_string(st.candidates), std::to_string(pairs),
+            std::to_string(st.kim_rejections),
+            std::to_string(st.keogh_rejections), std::to_string(st.full_dtw)});
+  t.Print();
+  std::printf("\n");
+  bool ok = MatchesBruteForce(d, traces, opts, "index leg");
+  if (st.candidates >= pairs) {
+    std::fprintf(stderr, "FAIL index leg: %lld candidates, %lld pairs\n",
+                 static_cast<long long>(st.candidates),
+                 static_cast<long long>(pairs));
+    ok = false;
+  }
+  return ok;
 }
 
 void BallTreeRecall() {
@@ -288,11 +422,28 @@ BENCHMARK(BM_CascadeReject);
 }  // namespace
 
 int main(int argc, char** argv) {
-  ClusteringQuality();
+  bool smoke = false;
+  int kept = 1;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) {
+      smoke = true;
+    } else {
+      argv[kept++] = argv[i];
+    }
+  }
+  argc = kept;
+  bool ok = ClusteringQuality();
   CascadeStats();
-  BatchVsSequential();
+  ok &= BatchVsSequential();
+  ok &= IndexLeg();
   BallTreeRecall();
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
+  if (!smoke) {
+    benchmark::Initialize(&argc, argv);
+    benchmark::RunSpecifiedBenchmarks();
+  }
+  if (!ok) {
+    std::fprintf(stderr, "ablation_clustering: exactness checks FAILED\n");
+    return 1;
+  }
   return 0;
 }

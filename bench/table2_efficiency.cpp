@@ -110,15 +110,20 @@ void ClusteringEfficiency() {
 
   std::printf("\n=== Clustering ingest efficiency (%zu traces) ===\n",
               traces.size());
-  TablePrinter table({"path", "wall", "full DTW", "LB_Kim rej", "LB_Keogh rej"});
+  TablePrinter table({"path", "wall", "candidates", "n(n-1)/2", "full DTW",
+                      "LB_Kim rej", "LB_Keogh rej"});
   const dtw::PruningStats seq_st = seq.pruning_stats();
   const dtw::PruningStats sys_st = sys.clustering_pruning_stats();
+  const std::string pairs =
+      std::to_string(traces.size() * (traces.size() - 1) / 2);
   table.AddRow({"sequential AddTrace", TablePrinter::Fmt(seq_s, 3) + "s",
+                std::to_string(seq_st.candidates), pairs,
                 std::to_string(seq_st.full_dtw),
                 std::to_string(seq_st.kim_rejections),
                 std::to_string(seq_st.keogh_rejections)});
   table.AddRow({"DBAugurSystem::Train (batch)",
                 TablePrinter::Fmt(train_s, 3) + "s",
+                std::to_string(sys_st.candidates), pairs,
                 std::to_string(sys_st.full_dtw),
                 std::to_string(sys_st.kim_rejections),
                 std::to_string(sys_st.keogh_rejections)});

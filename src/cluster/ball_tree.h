@@ -5,9 +5,9 @@
 // The tree is built with a pluggable distance function. With a true metric
 // (Euclidean) the triangle-inequality pruning is exact. DTW violates the
 // triangle inequality, so the paper's Ball-Tree-over-DTW search is inherently
-// heuristic; Descender therefore supports both this index and an exact
-// LB_Keogh-cascade linear scan, and the ablation bench quantifies the recall
-// difference.
+// heuristic. Descender therefore uses an exact index instead
+// (cluster/candidate_grid.h); this tree remains for the clustering ablation,
+// which quantifies its recall under DTW.
 
 #pragma once
 
@@ -57,17 +57,10 @@ class BallTree {
   /// Distance computations performed by queries so far (pruning telemetry).
   int64_t distance_evals() const { return distance_evals_; }
 
-  /// Points skipped by ball pruning across all range queries so far: whenever
-  /// a node's ball provably cannot intersect the query ball, its whole
-  /// subtree's point count is added here. Descender reports this as
-  /// PruningStats::tree_rejections.
-  int64_t pruned_points() const { return pruned_points_; }
-
  private:
   struct Node {
     std::vector<double> centroid;
     double radius = 0.0;
-    size_t count = 0;  ///< Points in this subtree (pruning telemetry).
     // Leaf: point indices. Internal: children.
     std::vector<size_t> indices;
     std::unique_ptr<Node> left, right;
@@ -85,7 +78,6 @@ class BallTree {
   DistanceFn distance_;
   std::unique_ptr<Node> root_;
   mutable int64_t distance_evals_ = 0;
-  mutable int64_t pruned_points_ = 0;
 };
 
 }  // namespace dbaugur::cluster

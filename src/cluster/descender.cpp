@@ -1,25 +1,32 @@
 #include "cluster/descender.h"
 
 #include <algorithm>
-#include <atomic>
+#include <bit>
 #include <cmath>
 #include <deque>
-#include <numeric>
 
 #include "common/contracts.h"
 
 namespace dbaugur::cluster {
 
-Descender::Descender(const DescenderOptions& opts) : opts_(opts) {
+Descender::Descender(const DescenderOptions& opts)
+    : opts_(opts), grid_(opts.radius) {
   DBAUGUR_CHECK_GE(opts.radius, 0.0,
                    "Descender: neighborhood radius must be non-negative");
   DBAUGUR_CHECK_GE(opts.threads, size_t{1},
                    "Descender: thread count must be at least 1");
 }
 
-std::vector<double> Descender::DistanceValues(const ts::Series& trace) const {
-  if (!opts_.znormalize) return trace.values();
+namespace {
+
+/// Writes the values used for distance computation (z-normalized when
+/// enabled) to out[0, trace.size()).
+void DistanceValues(const ts::Series& trace, bool znormalize, double* out) {
   const std::vector<double>& v = trace.values();
+  if (!znormalize) {
+    std::copy(v.begin(), v.end(), out);
+    return;
+  }
   double mean = 0.0;
   for (double x : v) mean += x;
   mean /= static_cast<double>(v.size());
@@ -27,195 +34,150 @@ std::vector<double> Descender::DistanceValues(const ts::Series& trace) const {
   for (double x : v) var += (x - mean) * (x - mean);
   double sd = std::sqrt(var / static_cast<double>(v.size()));
   if (sd <= 0.0) sd = 1.0;
-  std::vector<double> out(v.size());
   for (size_t i = 0; i < v.size(); ++i) out[i] = (v[i] - mean) / sd;
-  return out;
 }
 
-Status Descender::EnsureTreeFresh() {
-  size_t n = traces_.size();
-  if (n - tree_covered_ <= opts_.ball_tree_rebuild_pending) return Status::OK();
-  // Rebuild over every current trace; until the pending budget is exceeded
-  // again, new traces are searched exactly via the cascade instead.
-  std::vector<std::vector<double>> pts(distance_values_);
-  dtw::DtwOptions dtw_opts = opts_.dtw;
-  auto tree = BallTree::Build(
-      std::move(pts),
-      [dtw_opts](const std::vector<double>& a, const std::vector<double>& b) {
-        auto d = dtw::DtwDistance(a, b, dtw_opts);
-        return d.ok() ? *d : std::numeric_limits<double>::infinity();
-      },
-      {opts_.ball_tree_leaf});
-  if (!tree.ok()) return tree.status();
-  tree_ = std::make_unique<BallTree>(std::move(*tree));
-  tree_covered_ = n;
-  return Status::OK();
-}
+// Target size of one packed-store block (see Descender::store_).
+constexpr size_t kStoreBlockBytes = size_t{64} << 10;
 
-StatusOr<std::vector<size_t>> Descender::Neighbors(
-    const std::vector<double>& values) {
-  std::vector<size_t> out;
-  if (traces_.empty()) return out;
-  size_t scan_begin = 0;
-  if (opts_.search == NeighborSearch::kBallTree) {
-    // Heuristic mode: ball tree with DTW as the distance, maintained with a
-    // pending-insert buffer — traces past tree_covered_ are scanned exactly
-    // below, and the tree is only rebuilt once the pending budget is spent.
-    // Exact mode is the default.
-    DBAUGUR_RETURN_IF_ERROR(EnsureTreeFresh());
-    if (tree_) {
-      int64_t evals_before = tree_->distance_evals();
-      int64_t pruned_before = tree_->pruned_points();
-      out = tree_->RangeQuery(values, opts_.radius);
-      // Every non-pruned tree probe pays for a full DTW.
-      stats_.full_dtw += tree_->distance_evals() - evals_before;
-      stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-      distance_evals_ += tree_->distance_evals() - evals_before;
-    }
-    scan_begin = tree_covered_;
-  }
-  // Exact cascade: LB_Kim -> LB_Keogh -> early-abandoning DTW.
-  dtw::CascadingDtw cascade(opts_.dtw);
-  for (size_t i = scan_begin; i < traces_.size(); ++i) {
-    ++distance_evals_;
-    auto within = cascade.WithinRadius(values, distance_values_[i],
-                                       envelopes_[i], opts_.radius);
-    if (!within.ok()) return within.status();
-    if (*within) out.push_back(i);
-  }
-  stats_ += cascade.stats();
-  return out;
-}
+// Rows per ParallelFor chunk: rows have uneven (triangular) cost, so chunks
+// stay small, but each chunk reuses one set of per-row scratch buffers.
+constexpr size_t kRowsPerChunk = 8;
+
+}  // namespace
 
 StatusOr<size_t> Descender::AddTrace(ts::Series trace) {
   if (trace.empty()) return Status::InvalidArgument("Descender: empty trace");
-  if (!traces_.empty() && trace.size() != traces_[0].size()) {
+  if (!traces_.empty() && trace.size() != len_) {
     return Status::InvalidArgument("Descender: trace length mismatch");
   }
-  std::vector<double> dvalues = DistanceValues(trace);
-  auto nbrs = Neighbors(dvalues);
-  if (!nbrs.ok()) return nbrs.status();
-  size_t idx = traces_.size();
-  envelopes_.push_back(dtw::BuildEnvelope(dvalues, opts_.dtw.window));
-  distance_values_.push_back(std::move(dvalues));
-  double vol = 0.0;
-  for (double v : trace.values()) vol += v;
-  volumes_.push_back(vol);
-  traces_.push_back(std::move(trace));
-  adjacency_.emplace_back(*nbrs);
-  for (size_t n : *nbrs) adjacency_[n].push_back(idx);
-  Relabel();
+  const size_t idx = traces_.size();
+  std::vector<ts::Series> one;
+  one.push_back(std::move(trace));
+  DBAUGUR_RETURN_IF_ERROR(Insert(std::move(one), /*symmetric=*/false));
   return idx;
 }
 
 Status Descender::AddTraces(std::vector<ts::Series> traces) {
   // Atomic validation: reject the whole batch up front so a bad trace in the
   // middle cannot leave the clustering half-updated.
-  size_t len = traces_.empty()
-                   ? (traces.empty() ? 0 : traces[0].size())
-                   : traces_[0].size();
+  size_t len = traces_.empty() ? (traces.empty() ? 0 : traces[0].size())
+                               : len_;
   for (const auto& t : traces) {
     if (t.empty()) return Status::InvalidArgument("Descender: empty trace");
     if (t.size() != len) {
       return Status::InvalidArgument("Descender: trace length mismatch");
     }
   }
+  return Insert(std::move(traces), /*symmetric=*/true);
+}
+
+Status Descender::Insert(std::vector<ts::Series> traces, bool symmetric) {
   const size_t old_n = traces_.size();
   const size_t batch = traces.size();
-
-  // Ball-Tree mode: refresh the index over the pre-batch traces at most once
-  // per batch. The batch itself is covered by the exact symmetric sweep
-  // below, so the per-insert rebuilds of the old code disappear entirely.
-  size_t sweep_begin = 0;
-  if (opts_.search == NeighborSearch::kBallTree) {
-    DBAUGUR_RETURN_IF_ERROR(EnsureTreeFresh());
-    sweep_begin = tree_covered_;
+  if (batch == 0) return Status::OK();
+  const size_t stride = 3 * traces[0].size();
+  if (old_n == 0) {
+    len_ = traces[0].size();
+    const size_t per_block =
+        std::max<size_t>(1, kStoreBlockBytes / (stride * sizeof(double)));
+    block_shift_ = static_cast<size_t>(std::bit_width(per_block) - 1);
+  }
+  const size_t block_traces = size_t{1} << block_shift_;
+  const size_t old_blocks = store_.size();
+  const size_t blocks = (old_n + batch + block_traces - 1) >> block_shift_;
+  for (size_t b = old_blocks; b < blocks; ++b) {
+    store_.emplace_back(block_traces * stride);
   }
 
-  // Precompute every envelope and distance series up front; the sweep then
-  // reads distance_values_/envelopes_ concurrently without any mutation.
-  for (auto& t : traces) {
-    std::vector<double> dvalues = DistanceValues(t);
-    envelopes_.push_back(dtw::BuildEnvelope(dvalues, opts_.dtw.window));
-    distance_values_.push_back(std::move(dvalues));
+  // Pack every new trace's distance values and envelope, and file it in the
+  // grid; the sweep below then only reads the store and the grid.
+  for (size_t bi = 0; bi < batch; ++bi) {
+    const size_t gi = old_n + bi;
+    double* v = values(gi);
+    DistanceValues(traces[bi], opts_.znormalize, v);
+    dtw::BuildEnvelopeInterleaved(v, len_, opts_.dtw.window, v + len_);
+    grid_.Insert(static_cast<uint32_t>(gi), v[0], v[len_ - 1]);
     double vol = 0.0;
-    for (double v : t.values()) vol += v;
+    for (double x : traces[bi].values()) vol += x;
     volumes_.push_back(vol);
-    traces_.push_back(std::move(t));
+    traces_.push_back(std::move(traces[bi]));
     adjacency_.emplace_back();
   }
 
-  // Old-trace neighbors via the Ball-Tree index (serial: queries mutate the
-  // tree's telemetry counters, and this part is cheap next to the sweep).
-  std::vector<std::vector<size_t>> tree_nbrs;
-  if (opts_.search == NeighborSearch::kBallTree && tree_) {
-    tree_nbrs.resize(batch);
-    for (size_t bi = 0; bi < batch; ++bi) {
-      int64_t evals_before = tree_->distance_evals();
-      int64_t pruned_before = tree_->pruned_points();
-      tree_nbrs[bi] =
-          tree_->RangeQuery(distance_values_[old_n + bi], opts_.radius);
-      stats_.full_dtw += tree_->distance_evals() - evals_before;
-      stats_.tree_rejections += tree_->pruned_points() - pruned_before;
-      distance_evals_ += tree_->distance_evals() - evals_before;
-    }
-  }
-
-  // Pairwise half-matrix sweep: row bi decides every pair (old_n + bi, j)
-  // for j in [sweep_begin, old_n + bi) exactly once, with the symmetric
-  // two-sided LB_Keogh (both envelopes are available, unlike the incremental
-  // path). Rows write disjoint slots, so any schedule yields the same
+  // Row bi decides every candidate pair (old_n + bi, j < old_n + bi) once:
+  // grid candidates -> exact LB_Kim -> reordered LB_Keogh -> early-abandoning
+  // DTW. An infinite radius bounds nothing, so every candidate pays for the
+  // full DTW. Rows write disjoint slots, so any schedule yields the same
   // result; the merge below runs in index order regardless.
+  const double radius = opts_.radius;
+  const bool bounded = radius < dtw::kNoBound;
   std::vector<std::vector<size_t>> row_nbrs(batch);
   std::vector<dtw::PruningStats> row_stats(batch);
   std::vector<Status> row_status(batch);
-  {
-    ThreadPool pool(opts_.threads);
-    pool.ParallelFor(batch, 1, [&](size_t row_begin, size_t row_end) {
-      for (size_t bi = row_begin; bi < row_end; ++bi) {
-        size_t gi = old_n + bi;
-        dtw::CascadingDtw cascade(opts_.dtw);
-        for (size_t j = sweep_begin; j < gi; ++j) {
-          auto within =
-              cascade.WithinRadius(distance_values_[gi], distance_values_[j],
-                                   envelopes_[j], opts_.radius, &envelopes_[gi]);
-          if (!within.ok()) {
-            row_status[bi] = within.status();
-            break;
+  auto decide_rows = [&](size_t row_begin, size_t row_end) {
+    std::vector<uint32_t> cands;
+    dtw::OrderedQuery query;
+    for (size_t bi = row_begin; bi < row_end; ++bi) {
+      const size_t gi = old_n + bi;
+      const double* q = values(gi);
+      cands.clear();
+      grid_.Candidates(q[0], q[len_ - 1], gi, &cands);
+      query.Reset(q, envelope(gi), len_);
+      dtw::PruningStats& st = row_stats[bi];
+      st.candidates = static_cast<int64_t>(cands.size());
+      for (uint32_t j : cands) {
+        const double* c = values(j);
+        if (bounded) {
+          if (dtw::LbKim(q, len_, c, len_) > radius) {
+            ++st.kim_rejections;
+            continue;
           }
-          if (*within) row_nbrs[bi].push_back(j);
+          if (dtw::LbKeoghExceeds(query, c, envelope(j), radius, symmetric)) {
+            ++st.keogh_rejections;
+            continue;
+          }
         }
-        row_stats[bi] = cascade.stats();
+        ++st.full_dtw;
+        auto d = dtw::DtwDistance(q, len_, c, len_, opts_.dtw, radius);
+        if (!d.ok()) {
+          row_status[bi] = d.status();
+          break;
+        }
+        if (*d <= radius) row_nbrs[bi].push_back(j);
       }
-    });
+      // Cells arrive in grid order; adjacency lists are kept ascending.
+      std::sort(row_nbrs[bi].begin(), row_nbrs[bi].end());
+    }
+  };
+  const size_t lanes = std::min(opts_.threads, batch);
+  if (lanes == 1) {
+    decide_rows(0, batch);
+  } else {
+    ThreadPool pool(lanes);
+    pool.ParallelFor(batch, kRowsPerChunk, decide_rows);
   }
   for (const Status& st : row_status) {
     if (!st.ok()) {
       // Roll the appended per-trace state back so a failure stays atomic.
       traces_.resize(old_n);
-      distance_values_.resize(old_n);
-      envelopes_.resize(old_n);
+      store_.resize(old_blocks);
+      grid_.Truncate(old_n);
       volumes_.resize(old_n);
       adjacency_.resize(old_n);
       return st;
     }
   }
 
-  // Deterministic merge in index order: each adjacency list is built sorted
-  // ascending (tree hits < sweep_begin first, then sweep hits), and the
-  // symmetric back-fill appends strictly increasing indices — exactly the
-  // lists the sequential AddTrace loop produces, so Relabel's BFS emits
-  // identical labels.
+  // Deterministic merge in index order: each new row's list is sorted
+  // ascending, and the symmetric back-fill appends strictly increasing
+  // indices — exactly the lists a sequential AddTrace loop produces, so
+  // Relabel's BFS emits identical labels.
   for (size_t bi = 0; bi < batch; ++bi) {
-    size_t gi = old_n + bi;
-    std::vector<size_t>& adj = adjacency_[gi];
-    if (!tree_nbrs.empty()) {
-      adj.insert(adj.end(), tree_nbrs[bi].begin(), tree_nbrs[bi].end());
-    }
-    adj.insert(adj.end(), row_nbrs[bi].begin(), row_nbrs[bi].end());
-    for (size_t j : adj) adjacency_[j].push_back(gi);
+    const size_t gi = old_n + bi;
+    adjacency_[gi] = std::move(row_nbrs[bi]);
+    for (size_t j : adjacency_[gi]) adjacency_[j].push_back(gi);
     stats_ += row_stats[bi];
-    distance_evals_ += static_cast<int64_t>(gi - sweep_begin);
   }
   Relabel();
   return Status::OK();
@@ -284,9 +246,12 @@ std::vector<ClusterInfo> Descender::TopKClusters(size_t k) const {
     info.singleton_outlier =
         info.members.size() == 1 && !core_[info.members[0]];
   }
+  // NaN volumes (traces with NaN values) sort last: a plain `>` is not a
+  // strict weak order once NaN is in the range.
   std::sort(infos.begin(), infos.end(),
             [](const ClusterInfo& a, const ClusterInfo& b) {
-              return a.volume > b.volume;
+              return a.volume > b.volume ||
+                     (std::isnan(b.volume) && !std::isnan(a.volume));
             });
   if (infos.size() > k) infos.resize(k);
   return infos;

@@ -9,14 +9,21 @@
 // current clustering density"). Non-core traces outside every cluster are
 // materialized as singleton clusters, matching the paper's online rule ("we
 // will create a new cluster with that trace as its sole member").
+//
+// Neighbor search is exact and shared by both insertion paths: a grid over
+// each trace's (first, last) distance value (cluster/candidate_grid.h)
+// returns a superset of the pairs LB_Kim keeps; each candidate then goes
+// through the exact LB_Kim test, the early-abandoning reordered LB_Keogh
+// test (dtw::LbKeoghExceeds) and finally an early-abandoning DTW. Distance
+// values and envelopes live in one packed store, 3 * length doubles per
+// trace.
 
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "cluster/ball_tree.h"
+#include "cluster/candidate_grid.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dtw/dtw.h"
@@ -24,27 +31,11 @@
 
 namespace dbaugur::cluster {
 
-/// How ρ-neighborhoods are searched.
-enum class NeighborSearch {
-  /// Linear scan with the LB_Kim/LB_Keogh/early-abandon cascade — exact.
-  kExactCascade,
-  /// Ball-tree built over the traces with the DTW distance — faster but
-  /// heuristic because DTW violates the triangle inequality.
-  kBallTree,
-};
-
 /// Descender configuration.
 struct DescenderOptions {
   double radius = 1.0;          ///< ρ — neighborhood radius (DTW distance).
   size_t min_size = 3;          ///< MinSize — neighbors (incl. self) to be core.
   dtw::DtwOptions dtw;          ///< DTW band window.
-  NeighborSearch search = NeighborSearch::kExactCascade;
-  size_t ball_tree_leaf = 8;
-  /// Ball-Tree staleness budget: the index tolerates this many traces not yet
-  /// folded into the tree (searched exactly via the LB cascade instead)
-  /// before AddTrace triggers a full rebuild. 0 restores the old
-  /// rebuild-on-every-insert behavior.
-  size_t ball_tree_rebuild_pending = 32;
   /// Compute distances on z-normalized copies of the traces. Query-count and
   /// utilization-ratio traces live on wildly different scales; normalizing
   /// lets one radius ρ group by *shape*, which is what the paper's pattern
@@ -69,16 +60,17 @@ class Descender {
   explicit Descender(const DescenderOptions& opts);
 
   /// Inserts one trace and incrementally updates the clustering. All traces
-  /// must share one length. Returns the trace's index.
+  /// must share one length. Returns the trace's index. Its neighbors come
+  /// from the same grid and cascade as AddTraces, with the one-sided
+  /// LB_Keogh bound (the query's values against each candidate's envelope).
   StatusOr<size_t> AddTrace(ts::Series trace);
 
   /// Batch fast path: inserts every trace, then relabels once. Produces the
   /// same labels/core flags/adjacency as an equivalent AddTrace loop but
-  /// much cheaper — envelopes are precomputed up front, the pairwise
-  /// neighbor sweep runs over the half-matrix with the symmetric two-sided
-  /// LB_Keogh bound (d(i,j) decided once, adjacency filled both ways), rows
-  /// are distributed over opts.threads lanes with a deterministic merge, and
-  /// in Ball-Tree mode the index is rebuilt at most once per batch.
+  /// much cheaper: each new trace's row pairs it with the earlier traces the
+  /// grid index returns, decided once with the symmetric two-sided LB_Keogh
+  /// bound (adjacency filled both ways); rows are distributed over
+  /// opts.threads lanes with a deterministic merge, and relabeling runs once.
   /// Validation is atomic: on error no trace is added.
   Status AddTraces(std::vector<ts::Series> traces);
 
@@ -106,40 +98,54 @@ class Descender {
   /// and its proportion in the corresponding cluster").
   StatusOr<double> TraceProportion(size_t i) const;
 
-  /// Total DTW/LB evaluations (telemetry for the clustering ablation).
-  int64_t distance_evals() const { return distance_evals_; }
+  /// Candidate pairs evaluated by the cascade (the grid's output), i.e.
+  /// pruning_stats().candidates (telemetry for the clustering ablation).
+  int64_t distance_evals() const { return stats_.candidates; }
 
-  /// Per-tier pruning telemetry accumulated over every insertion: LB_Kim /
-  /// LB_Keogh / Ball-Tree rejections and full DTW computations.
+  /// Per-tier pruning telemetry accumulated over every insertion: grid
+  /// candidates, LB_Kim / LB_Keogh rejections among them, and full DTW
+  /// computations.
   const dtw::PruningStats& pruning_stats() const { return stats_; }
 
  private:
-  /// Indices within ρ of `values` among current traces.
-  StatusOr<std::vector<size_t>> Neighbors(const std::vector<double>& values);
-  /// Ball-Tree maintenance: rebuilds the index over all current traces when
-  /// more than opts.ball_tree_rebuild_pending traces sit outside it.
-  Status EnsureTreeFresh();
+  /// Shared insertion path of AddTrace and AddTraces: packs the traces,
+  /// files them in the grid, decides every (new, earlier) candidate pair
+  /// and relabels. Traces must already be validated.
+  Status Insert(std::vector<ts::Series> traces, bool symmetric);
   /// Recomputes core flags and labels from the adjacency lists (exact DBSCAN
   /// semantics, then singletons for leftover noise).
   void Relabel();
 
-  /// The values used for distance computation (z-normalized when enabled).
-  std::vector<double> DistanceValues(const ts::Series& trace) const;
+  /// Trace i's distance values (z-normalized when enabled) and, right after
+  /// them, its interleaved Keogh envelope.
+  double* values(size_t i) {
+    return store_[i >> block_shift_].data() + Offset(i);
+  }
+  const double* values(size_t i) const {
+    return store_[i >> block_shift_].data() + Offset(i);
+  }
+  const double* envelope(size_t i) const { return values(i) + len_; }
+  size_t Offset(size_t i) const {
+    return (i & ((size_t{1} << block_shift_) - 1)) * 3 * len_;
+  }
 
   DescenderOptions opts_;
   std::vector<ts::Series> traces_;
-  std::vector<std::vector<double>> distance_values_;
-  std::vector<dtw::Envelope> envelopes_;
+  size_t len_ = 0;  // common trace length
+  // Packed store: 3 * len_ doubles per trace, the distance values followed
+  // by the Keogh envelope as (lower, upper) pairs per position, in blocks of
+  // 2^block_shift_ consecutive traces. Blocks stay near 64 KiB, under
+  // glibc's default mmap threshold: one multi-megabyte block, once freed,
+  // raises the allocator's dynamic mmap threshold for every later
+  // allocation, which cost +7% peak RSS on the diverse-waveforms benchmark.
+  std::vector<std::vector<double>> store_;
+  size_t block_shift_ = 0;
+  CandidateGrid grid_;
   std::vector<std::vector<size_t>> adjacency_;  // ρ-neighbors, excl. self
   std::vector<bool> core_;
   std::vector<int> labels_;
   std::vector<double> volumes_;
-  int64_t distance_evals_ = 0;
   dtw::PruningStats stats_;
-  // Ball-Tree mode: persistent index over traces [0, tree_covered_); traces
-  // past that point are pending (searched exactly until the next rebuild).
-  std::unique_ptr<BallTree> tree_;
-  size_t tree_covered_ = 0;
 };
 
 }  // namespace dbaugur::cluster

@@ -27,6 +27,9 @@
 //
 // Numerics contract (see README "SIMD kernels & runtime dispatch"):
 //  - Min/Max follow the x86 semantics (second operand returned on NaN).
+//  - VecD::Gather(base, idx) loads lane l from base[idx[l]] with per-lane
+//    scalar loads. Hardware gathers measured no faster on the reordered
+//    LB_Keogh kernel and are microcode-throttled on some hosts.
 //  - Fmadd(a,b,c) is a*b+c, fused (single rounding) on FMA-capable tiers and
 //    two-rounding on SSE2/scalar. Kernels that must stay bit-identical to the
 //    scalar tier (DTW) use explicit `a*b + c` instead.
@@ -196,6 +199,9 @@ struct VecD {
   double v;
   static VecD Load(const double* p) { return {p[0]}; }
   static VecD LoadReversed(const double* p) { return {p[0]}; }
+  static VecD Gather(const double* base, const std::int32_t* idx) {
+    return {base[idx[0]]};
+  }
   static VecD Broadcast(double x) { return {x}; }
   static VecD Zero() { return {0.0}; }
   static VecD SignMask() { return {-0.0}; }
@@ -309,6 +315,10 @@ struct VecD {
   static VecD LoadReversed(const double* p) {
     const __m128d raw = _mm_loadu_pd(p - 1);
     return {_mm_shuffle_pd(raw, raw, 0x1)};
+  }
+  // Lanes l = 0..kWidth-1 read base[idx[l]].
+  static VecD Gather(const double* base, const std::int32_t* idx) {
+    return {_mm_set_pd(base[idx[1]], base[idx[0]])};
   }
   static VecD Broadcast(double x) { return {_mm_set1_pd(x)}; }
   static VecD Zero() { return {_mm_setzero_pd()}; }
@@ -432,6 +442,10 @@ struct VecD {
   static VecD LoadReversed(const double* p) {
     const __m256d raw = _mm256_loadu_pd(p - 3);
     return {_mm256_permute4x64_pd(raw, _MM_SHUFFLE(0, 1, 2, 3))};
+  }
+  static VecD Gather(const double* base, const std::int32_t* idx) {
+    return {_mm256_set_pd(base[idx[3]], base[idx[2]], base[idx[1]],
+                          base[idx[0]])};
   }
   static VecD Broadcast(double x) { return {_mm256_set1_pd(x)}; }
   static VecD Zero() { return {_mm256_setzero_pd()}; }
@@ -569,6 +583,11 @@ struct VecD {
   static VecD LoadReversed(const double* p) {
     const __m512i idx = _mm512_set_epi64(0, 1, 2, 3, 4, 5, 6, 7);
     return {_mm512_permutexvar_pd(idx, _mm512_loadu_pd(p - 7))};
+  }
+  static VecD Gather(const double* base, const std::int32_t* idx) {
+    return {_mm512_set_pd(base[idx[7]], base[idx[6]], base[idx[5]],
+                          base[idx[4]], base[idx[3]], base[idx[2]],
+                          base[idx[1]], base[idx[0]])};
   }
   static VecD Broadcast(double x) { return {_mm512_set1_pd(x)}; }
   static VecD Zero() { return {_mm512_setzero_pd()}; }

@@ -26,6 +26,9 @@ struct DtwKernels {
                            size_t);
   double (*dtw_band)(const double*, size_t, const double*, size_t, size_t,
                      double, double*, bool*);
+  bool (*lb_keogh_exceeds)(const double*, const double*, const double*,
+                           const int32_t*, const int32_t*, const double*,
+                           const double*, size_t, double, bool);
 };
 
 const DtwKernels* ActiveDtwKernels() {
@@ -34,7 +37,8 @@ const DtwKernels* ActiveDtwKernels() {
     case simd::Tier::kAvx512: {
       static constexpr DtwKernels k = {&tier_avx512::EnvelopeD,
                                        &tier_avx512::LbKeoghSumSqD,
-                                       &tier_avx512::DtwBandD};
+                                       &tier_avx512::DtwBandD,
+                                       &tier_avx512::LbKeoghExceedsD};
       return &k;
     }
 #endif
@@ -42,7 +46,8 @@ const DtwKernels* ActiveDtwKernels() {
     case simd::Tier::kAvx2: {
       static constexpr DtwKernels k = {&tier_avx2::EnvelopeD,
                                        &tier_avx2::LbKeoghSumSqD,
-                                       &tier_avx2::DtwBandD};
+                                       &tier_avx2::DtwBandD,
+                                       &tier_avx2::LbKeoghExceedsD};
       return &k;
     }
 #endif
@@ -50,7 +55,8 @@ const DtwKernels* ActiveDtwKernels() {
     case simd::Tier::kSse2: {
       static constexpr DtwKernels k = {&tier_sse2::EnvelopeD,
                                        &tier_sse2::LbKeoghSumSqD,
-                                       &tier_sse2::DtwBandD};
+                                       &tier_sse2::DtwBandD,
+                                       &tier_sse2::LbKeoghExceedsD};
       return &k;
     }
 #endif
@@ -66,12 +72,18 @@ const DtwKernels* ActiveDtwKernels() {
 StatusOr<double> DtwDistance(const std::vector<double>& a,
                              const std::vector<double>& b,
                              const DtwOptions& opts, double upper_bound) {
-  if (a.empty() || b.empty()) {
+  return DtwDistance(a.data(), a.size(), b.data(), b.size(), opts,
+                     upper_bound);
+}
+
+StatusOr<double> DtwDistance(const double* a, size_t n, const double* b,
+                             size_t m, const DtwOptions& opts,
+                             double upper_bound) {
+  if (n == 0 || m == 0) {
     return Status::InvalidArgument("DTW: empty trace");
   }
   DBAUGUR_CHECK(upper_bound == kNoBound || upper_bound >= 0.0,
                 "DTW: negative early-abandon bound ", upper_bound);
-  size_t n = a.size(), m = b.size();
   // Widen the band so the corner (n-1, m-1) is reachable.
   size_t w;
   if (opts.window < 0) {
@@ -92,14 +104,10 @@ StatusOr<double> DtwDistance(const std::vector<double>& a,
     // scalar DP's output exactly.
     std::vector<double> ws(3 * (n + 3), kInf);
     bool abandoned = false;
-    double sq = kern->dtw_band(a.data(), n, b.data(), m, w, ub2, ws.data(),
-                               &abandoned);
+    double sq = kern->dtw_band(a, n, b, m, w, ub2, ws.data(), &abandoned);
     if (abandoned) return kInf;  // early abandon
-    if (sq == kInf) {
-      return Status::Internal("DTW: band excluded the alignment corner");
-    }
     if (ub2 != kNoBound && sq > ub2) return kInf;
-    return std::sqrt(sq);
+    return std::sqrt(sq);  // +inf when every alignment costs +inf
   }
 #endif
   // Two-row DP over the band.
@@ -121,26 +129,25 @@ StatusOr<double> DtwDistance(const std::vector<double>& a,
     if (ub2 != kNoBound && row_min > ub2) return kInf;  // early abandon
     std::swap(prev, cur);
   }
+  // The band always reaches the corner (w >= |n - m|), so an infinite
+  // corner means every alignment costs +inf (an infinite input value); that
+  // is the distance, not an error.
   double result = prev[m];
-  if (result == kInf) {
-    return Status::Internal("DTW: band excluded the alignment corner");
-  }
   if (ub2 != kNoBound && result > ub2) return kInf;
   return std::sqrt(result);
 }
 
-Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
-  size_t n = seq.size();
+namespace {
+
+void EnvelopeInto(const double* seq, size_t n, int window, double* lower,
+                  double* upper) {
   size_t w = window < 0 ? n : static_cast<size_t>(window);
-  Envelope env;
-  env.lower.resize(n);
-  env.upper.resize(n);
 #if defined(DBAUGUR_DTW_HAS_VECTOR_TIERS)
   if (const DtwKernels* kern = ActiveDtwKernels();
       kern != nullptr && n != 0) {
     // Exact sliding min/max — bit-identical to the loop below on any tier.
-    kern->envelope(seq.data(), n, w, env.lower.data(), env.upper.data());
-    return env;
+    kern->envelope(seq, n, w, lower, upper);
+    return;
   }
 #endif
   for (size_t i = 0; i < n; ++i) {
@@ -151,10 +158,33 @@ Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
       mn = std::min(mn, seq[j]);
       mx = std::max(mx, seq[j]);
     }
-    env.lower[i] = mn;
-    env.upper[i] = mx;
+    lower[i] = mn;
+    upper[i] = mx;
   }
+}
+
+}  // namespace
+
+Envelope BuildEnvelope(const std::vector<double>& seq, int window) {
+  Envelope env;
+  env.lower.resize(seq.size());
+  env.upper.resize(seq.size());
+  EnvelopeInto(seq.data(), seq.size(), window, env.lower.data(),
+               env.upper.data());
   return env;
+}
+
+void BuildEnvelopeInterleaved(const double* seq, size_t n, int window,
+                              double* out) {
+  // Lower half of `out` is scratch for the lower envelope until the
+  // interleave below, which walks backwards so it never overwrites an
+  // unread lower[i] (lower[i] sits at out[i] <= out[2i]).
+  std::vector<double> upper(n);
+  EnvelopeInto(seq, n, window, out, upper.data());
+  for (size_t i = n; i-- > 0;) {
+    out[2 * i] = out[i];
+    out[2 * i + 1] = upper[i];
+  }
 }
 
 double LbKeogh(const std::vector<double>& query, const Envelope& cand_env) {
@@ -190,19 +220,98 @@ double LbKeoghSymmetric(const std::vector<double>& a, const Envelope& env_a,
 }
 
 double LbKim(const std::vector<double>& a, const std::vector<double>& b) {
-  if (a.empty() || b.empty()) return 0.0;
-  // Any warping path must match first-with-first and last-with-last.
-  double df = std::fabs(a.front() - b.front());
-  double dl = std::fabs(a.back() - b.back());
-  if (a.size() == 1 && b.size() == 1) {
-    // The path is the single cell (0,0): df and dl are the same cost, so
-    // summing them would double-count. (When only one side has length 1 the
-    // first and last cells are still distinct path cells — b.front() and
-    // b.back() both align against a[0] — so the sqrt form below remains
-    // admissible.)
-    return std::max(df, dl);
+  return LbKim(a.data(), a.size(), b.data(), b.size());
+}
+
+void OrderedQuery::Reset(const double* values, const double* env, size_t n) {
+  DBAUGUR_CHECK_LT(n, size_t{1} << 30, "OrderedQuery: trace too long");
+  kernel_ = nullptr;
+#if defined(DBAUGUR_DTW_HAS_VECTOR_TIERS)
+  if (const DtwKernels* kern = ActiveDtwKernels(); kern != nullptr) {
+    kernel_ = kern->lb_keogh_exceeds;
   }
-  return std::sqrt(df * df + dl * dl);
+#endif
+  // Sort (-|v|, position) pairs: descending |v|, ties by position. NaN keys
+  // would break the ordering, so they sort as +inf (visited first). Short
+  // traces (the common case) take a stable insertion sort, which beats
+  // std::sort's mispredicted branches at these sizes.
+  order_.resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    const double a = std::fabs(values[i]);
+    order_[i] = {std::isnan(a) ? -kNoBound : -a, static_cast<int32_t>(i)};
+  }
+  if (n <= 64) {
+    for (size_t i = 1; i < n; ++i) {
+      const std::pair<double, int32_t> x = order_[i];
+      size_t j = i;
+      for (; j > 0 && x.first < order_[j - 1].first; --j) {
+        order_[j] = order_[j - 1];
+      }
+      order_[j] = x;
+    }
+  } else {
+    std::sort(order_.begin(), order_.end());
+  }
+  pos_.resize(n);
+  for (size_t k = 0; k < n; ++k) pos_[k] = order_[k].second;
+  pos2_.resize(n);
+  values_.resize(n);
+  lower_.resize(n);
+  upper_.resize(n);
+  for (size_t k = 0; k < n; ++k) {
+    const int32_t p = pos_[k];
+    pos2_[k] = 2 * p;
+    values_[k] = values[p];
+    lower_[k] = env[2 * p];
+    upper_[k] = env[2 * p + 1];
+  }
+}
+
+bool LbKeoghExceeds(const OrderedQuery& query, const double* cand,
+                    const double* cand_env, double radius, bool symmetric) {
+  const size_t n = query.values_.size();
+  if (!(radius < kNoBound)) return false;
+  // Rounding slack: both the reordered sum and the DTW recurrence's sum of
+  // the same non-negative squares are within ~n ULP of the exact value.
+  const double bound2 =
+      radius * radius *
+      (1.0 + static_cast<double>(2 * n + 8) *
+                 std::numeric_limits<double>::epsilon());
+  const double* q = query.values_.data();
+  const double* q_lo = query.lower_.data();
+  const double* q_up = query.upper_.data();
+  const int32_t* pos = query.pos_.data();
+  const int32_t* pos2 = query.pos2_.data();
+  if (query.kernel_ != nullptr) {
+    return query.kernel_(q, q_lo, q_up, pos, pos2, cand, cand_env, n, bound2,
+                         symmetric);
+  }
+  double s = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    const double lo = cand_env[pos2[k]], up = cand_env[pos2[k] + 1];
+    if (q[k] > up) {
+      const double d = q[k] - up;
+      s += d * d;
+    } else if (q[k] < lo) {
+      const double d = lo - q[k];
+      s += d * d;
+    }
+    if (s > bound2) return true;
+  }
+  if (!symmetric) return false;
+  s = 0.0;
+  for (size_t k = 0; k < n; ++k) {
+    const double c = cand[pos[k]];
+    if (c > q_up[k]) {
+      const double d = c - q_up[k];
+      s += d * d;
+    } else if (c < q_lo[k]) {
+      const double d = q_lo[k] - c;
+      s += d * d;
+    }
+    if (s > bound2) return true;
+  }
+  return false;
 }
 
 StatusOr<bool> CascadingDtw::WithinRadius(const std::vector<double>& query,

@@ -1,7 +1,7 @@
 // Declarations of the per-tier vector kernels behind the DTW cascade
 // dispatch (see dtw.cpp): Keogh envelope construction, the LB_Keogh
-// exceedance sum, and the full band DTW recurrence as an anti-diagonal
-// wavefront.
+// exceedance sum, the early-abandoning reordered LB_Keogh test, and the full
+// band DTW recurrence as an anti-diagonal wavefront.
 //
 // The scheme mirrors src/nn/simd_kernels.h: each tier namespace is one
 // translation unit (src/dtw/simd_tier_<isa>.cpp) compiled with that ISA's
@@ -18,10 +18,20 @@
 //  * LbKeoghSumSqD reduces with W partial sums (reassociation), so it may
 //    differ from the scalar sum by a few ULP; LbKeogh stays an admissible
 //    DTW lower bound to that tolerance.
+//  * LbKeoghExceedsD sums the same per-position exceedances, but in the
+//    caller's visiting order (descending |query value|, UCR-suite
+//    reordering) with W partial sums, and stops at the first W-chunk whose
+//    running total exceeds bound2. Every term is non-negative, so the
+//    running total only grows and an early stop is the decision the full
+//    sum would make; the reordered sum differs from the in-order one by a
+//    few ULP, the same tolerance as LbKeoghSumSqD. The caller (dtw.cpp,
+//    LbKeoghExceeds) widens bound2 by a relative (2n + 8) ULP so that a pair
+//    whose DTW equals the radius is never rejected on rounding.
 
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 
 #if defined(DBAUGUR_SIMD_HAS_SSE2) || defined(DBAUGUR_SIMD_HAS_AVX2) || \
     defined(DBAUGUR_SIMD_HAS_AVX512)
@@ -37,6 +47,16 @@
   /* LB_Keogh sum before the sqrt). Requires lo[i] <= up[i]. W partials.   */  \
   double LbKeoghSumSqD(const double* q, const double* lo, const double* up,    \
                        std::size_t n);                                         \
+  /* Early-abandoning LB_Keogh "sum > bound2" test in visiting order k.    */  \
+  /* Side 1: q[k] against the candidate's interleaved envelope at          */  \
+  /* cand_env[pos2[k]] (lower) / cand_env[pos2[k] + 1] (upper). Side 2,    */  \
+  /* run only when `symmetric` and side 1 stayed <= bound2: cand[pos[k]]   */  \
+  /* against [q_lo[k], q_up[k]]. pos2[k] == 2 * pos[k].                    */  \
+  bool LbKeoghExceedsD(const double* q, const double* q_lo,                    \
+                       const double* q_up, const std::int32_t* pos,            \
+                       const std::int32_t* pos2, const double* cand,           \
+                       const double* cand_env, std::size_t n, double bound2,   \
+                       bool symmetric);                                        \
   /* Band DTW as an anti-diagonal wavefront. Returns the squared DP value  */  \
   /* at the corner (n, m), or +inf with *abandoned set when two            */  \
   /* consecutive anti-diagonal minima exceeded ub2 (which proves the true  */  \

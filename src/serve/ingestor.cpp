@@ -210,6 +210,14 @@ Status TraceBinner::Load(BufReader* r) {
   if (interval <= 0 || any > 1 || (any == 1 && max_bin < min_bin)) {
     return Status::InvalidArgument("TraceBinner: invalid header fields");
   }
+  // A range Traces() would refuse must be refused here: otherwise the
+  // restore succeeds into a binner that can never materialize a trace again.
+  if (any == 1 && static_cast<uint64_t>(max_bin) -
+                          static_cast<uint64_t>(min_bin) >=
+                      kMaxMaterializedBins) {
+    return Status::InvalidArgument(
+        "TraceBinner: saved bin range too large to materialize");
+  }
   std::map<uint32_t, std::map<int64_t, double>> bins;
   for (uint64_t t = 0; t < templates; ++t) {
     uint32_t tid = 0;

@@ -1,16 +1,14 @@
 // Equivalence and determinism tests pinning the Descender batch fast path:
 // batch AddTraces must reproduce the sequential AddTrace loop exactly
-// (labels, core flags, cluster counts, TopK) across thread counts and in
-// both exact-cascade and Ball-Tree modes, while performing strictly fewer
-// full DTW computations than the sequential path.
+// (labels, core flags, cluster counts, TopK) across thread counts and batch
+// splits, while performing strictly fewer full DTW computations than the
+// sequential path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <string>
 #include <vector>
 
-#include "chaos/partition.h"
 #include "cluster/descender.h"
 #include "common/thread_pool.h"
 #include "workloads/generators.h"
@@ -118,46 +116,6 @@ TEST(ClusterBatchTest, SecondBatchOnNonEmptyDescenderMatchesSequential) {
   ASSERT_TRUE(batch.AddTraces(first).ok());
   ASSERT_TRUE(batch.AddTraces(second).ok());
   ExpectIdentical(seq, batch);
-}
-
-TEST(ClusterBatchTest, BallTreeBatchMatchesSequential) {
-  // 16 traces sit inside the default pending budget, so both paths resolve
-  // every pair exactly and must agree to the label.
-  auto traces = SeededWorkload(2, 8, 900);
-  DescenderOptions opts = BaseOpts();
-  opts.search = NeighborSearch::kBallTree;
-  Descender seq(opts);
-  for (const auto& s : traces) ASSERT_TRUE(seq.AddTrace(s).ok());
-  Descender batch(opts);
-  ASSERT_TRUE(batch.AddTraces(traces).ok());
-  ExpectIdentical(seq, batch);
-}
-
-TEST(ClusterBatchTest, BallTreeRebuildThresholdPreservesFamilies) {
-  // A tiny pending budget forces mid-stream tree rebuilds; on well-separated
-  // families the heuristic index must still recover the exact partition.
-  auto traces = SeededWorkload(2, 10, 1000);
-  DescenderOptions tree_opts = BaseOpts();
-  tree_opts.search = NeighborSearch::kBallTree;
-  tree_opts.ball_tree_rebuild_pending = 4;
-  Descender tree(tree_opts);
-  for (const auto& s : traces) ASSERT_TRUE(tree.AddTrace(s).ok());
-  Descender exact(BaseOpts());
-  ASSERT_TRUE(exact.AddTraces(traces).ok());
-  EXPECT_EQ(tree.density_cluster_count(), exact.density_cluster_count());
-  // Same partition up to label permutation (the heuristic index may visit
-  // neighbors in a different order than the exact scan).
-  std::vector<int> tree_labels(traces.size());
-  std::vector<int> exact_labels(traces.size());
-  for (size_t i = 0; i < traces.size(); ++i) {
-    tree_labels[i] = tree.label(i);
-    exact_labels[i] = exact.label(i);
-  }
-  std::string mismatch;
-  EXPECT_TRUE(chaos::PartitionsEquivalent(tree_labels, exact_labels, &mismatch))
-      << mismatch;
-  // The index actually pruned something, i.e. this test exercises the tree.
-  EXPECT_GT(tree.pruning_stats().tree_rejections, 0);
 }
 
 TEST(ClusterBatchTest, EmptyBatchIsNoOp) {

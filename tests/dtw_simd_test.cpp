@@ -3,8 +3,10 @@
 // Contract under test (dtw/dtw_simd.h): the anti-diagonal wavefront DTW and
 // the envelope construction are bit-identical to the scalar tier on every
 // input; LB_Keogh may differ by a few ULP (W-partial-sum reduction) but must
-// stay an admissible lower bound; and the full cascade returns the same
-// accept/reject decisions and distances as plain DTW on every tier.
+// stay an admissible lower bound; the reordered early-abandoning LB_Keogh
+// test never rejects a true neighbour and otherwise agrees with the plain
+// bound; and the full cascade returns the same accept/reject decisions and
+// distances as plain DTW on every tier.
 
 #include <gtest/gtest.h>
 
@@ -187,6 +189,70 @@ TEST_F(DtwTierTest, CascadeMatchesPlainDtwOnEveryTier) {
         << simd::TierName(t);
     EXPECT_GT(st.full_dtw, 0) << simd::TierName(t);
   }
+}
+
+// The fused early-abandoning LB_Keogh test (LbKeoghExceeds): on every tier
+// it must never reject a pair whose DTW is within the radius, with the
+// radius set exactly to computed DTW values, and away from ties it must
+// agree with the plain bounds (LbKeoghSymmetric / LbKeogh) compared against
+// the radius.
+TEST_F(DtwTierTest, LbKeoghExceedsIsAdmissibleAndMatchesPlainBound) {
+  uint64_t seed = 901;
+  int64_t checked = 0;
+  for (size_t n : {1, 2, 3, 5, 8, 9, 16, 17, 30, 64, 97}) {
+    for (int window : {0, 1, 3, -1}) {
+      for (int rep = 0; rep < 6; ++rep) {
+        auto q = RandomTrace(n, ++seed);
+        auto c = RandomTrace(n, ++seed);
+        if (rep % 2 == 1) {
+          // Near neighbours: DTW close to the bound, and at window 0 equal
+          // to it in exact arithmetic (the tie the rounding slack covers).
+          Rng rng(++seed);
+          for (size_t i = 0; i < n; ++i) c[i] = q[i] + rng.Uniform(-0.05, 0.05);
+        }
+        DtwOptions opts;
+        opts.window = window;
+        std::vector<double> q_env(2 * n), c_env(2 * n);
+        for (Tier t : HostTiers()) {
+          ASSERT_TRUE(simd::ForceTier(t));
+          BuildEnvelopeInterleaved(q.data(), n, window, q_env.data());
+          BuildEnvelopeInterleaved(c.data(), n, window, c_env.data());
+          OrderedQuery query;
+          query.Reset(q.data(), q_env.data(), n);
+          const double dtw_qc = *DtwDistance(q, c, opts);
+          const double dtw_cq = *DtwDistance(c, q, opts);
+          for (double rho : {dtw_qc, dtw_cq}) {
+            EXPECT_FALSE(LbKeoghExceeds(query, c.data(), c_env.data(), rho,
+                                        /*symmetric=*/true))
+                << simd::TierName(t) << " n=" << n << " window=" << window;
+            EXPECT_FALSE(LbKeoghExceeds(query, c.data(), c_env.data(), rho,
+                                        /*symmetric=*/false))
+                << simd::TierName(t) << " n=" << n << " window=" << window;
+          }
+          const Envelope qe = BuildEnvelope(q, window);
+          const Envelope ce = BuildEnvelope(c, window);
+          const double sym = LbKeoghSymmetric(q, qe, c, ce);
+          const double one = LbKeogh(q, ce);
+          for (double lb : {sym, one}) {
+            const bool symmetric = lb == sym;
+            for (double rho : {0.0, lb * 0.5, lb * 0.999, lb, lb * 1.001,
+                               lb * 2.0, kInf}) {
+              // Ties (rho within a relative 1e-9 of the bound) may go
+              // either way; everywhere else the decision is exact.
+              if (std::fabs(rho - lb) <= 1e-9 * lb) continue;
+              EXPECT_EQ(LbKeoghExceeds(query, c.data(), c_env.data(), rho,
+                                       symmetric),
+                        lb > rho)
+                  << simd::TierName(t) << " n=" << n << " window=" << window
+                  << " rho=" << rho << " lb=" << lb;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000);
 }
 
 }  // namespace

@@ -694,6 +694,34 @@ TEST_F(CheckpointFaultTest, OversizedSnapshotTraceCountIsRejected) {
   ShardedForecastService::RemoveFiles(base, 1);
 }
 
+TEST_F(CheckpointFaultTest, OversizedBinnerRangeIsRejected) {
+  ShardedForecastService svc(FaultService());
+  const std::string base = ::testing::TempDir() + "dbaugur_ckpt_huge_range";
+  std::vector<uint8_t> manifest, shard;
+  TrainAndSave(&svc, base, &manifest, &shard);
+  // The state section's retrainer bytes open with U64 cycles, then the
+  // binner: I64 interval, U8 any, I64 min_bin, I64 max_bin. Widening the
+  // range to [-2^40, 2^40] keeps every saved bin inside it, so only the
+  // materialization bound can reject the file.
+  BufReader r(shard);
+  uint32_t u32 = 0;
+  uint64_t u64 = 0;
+  std::vector<uint8_t> retrainer_state;
+  ASSERT_TRUE(r.U32(&u32) && r.U32(&u32) && r.U64(&u64) && r.U64(&u64) &&
+              r.U64(&u64) && r.Bytes(&retrainer_state));
+  const size_t binner = r.pos() - retrainer_state.size() + 8;
+  PatchU64(&shard, binner + 9, static_cast<uint64_t>(-(int64_t{1} << 40)));
+  PatchU64(&shard, binner + 17, uint64_t{1} << 40);
+  ASSERT_TRUE(::dbaugur::SaveToFile(ShardedForecastService::ManifestPath(base),
+                                    manifest)
+                  .ok());
+  ASSERT_TRUE(
+      ::dbaugur::SaveToFile(ShardedForecastService::ShardPath(base, 0), shard)
+          .ok());
+  ExpectRejectedAndStillServing(&svc, base);
+  ShardedForecastService::RemoveFiles(base, 1);
+}
+
 // --------------------------------------------------------------------------
 // Checkpoint vs cancellation races: saves issued while retrains hang, crawl,
 // or unwind from a watchdog cancellation must always produce complete,

@@ -119,6 +119,21 @@ else
   record "serve_scale-smoke" "SKIPPED (Release build failed)"
 fi
 
+# --- 1e. Clustering ablation smoke: every Descender leg must reproduce a
+# brute-force all-pairs DTW clustering, and the candidate grid must return
+# fewer pairs than n(n-1)/2 on the many-cluster leg (the binary exits 1
+# otherwise). --smoke skips the google-benchmark microbenchmarks.
+if [[ -x build-release/bench/ablation_clustering ]]; then
+  note "bench/ablation_clustering --smoke (Release)"
+  if ./build-release/bench/ablation_clustering --smoke > /dev/null; then
+    record "ablation_clustering-smoke" "OK"
+  else
+    record "ablation_clustering-smoke" "FAIL"
+  fi
+else
+  record "ablation_clustering-smoke" "SKIPPED (Release build failed)"
+fi
+
 # --- 2. ASan + UBSan. --------------------------------------------------------
 export UBSAN_OPTIONS="print_stacktrace=1:${UBSAN_OPTIONS:-}"
 build_and_test "asan+ubsan" build-asan \
