@@ -174,6 +174,39 @@ bool ClusteringQuality() {
   return ok;
 }
 
+// Interleaved Keogh envelope of `v` (dtw::BuildEnvelopeInterleaved layout).
+std::vector<double> InterleavedEnvelope(const std::vector<double>& v,
+                                        int window) {
+  std::vector<double> env(2 * v.size());
+  dtw::BuildEnvelopeInterleaved(v.data(), v.size(), window, env.data());
+  return env;
+}
+
+// One candidate through the tiers Descender runs (cluster/descender.cpp):
+// LB_Kim, then the symmetric early-abandoning LB_Keogh test, then DTW
+// bounded by the radius. True iff DTW(query, cand) <= radius; `st` counts
+// the tier that decided.
+bool CascadeWithinRadius(const std::vector<double>& query,
+                         const dtw::OrderedQuery& ordered,
+                         const std::vector<double>& cand,
+                         const std::vector<double>& cand_env,
+                         const dtw::DtwOptions& opts, double radius,
+                         dtw::PruningStats* st) {
+  ++st->candidates;
+  if (dtw::LbKim(query, cand) > radius) {
+    ++st->kim_rejections;
+    return false;
+  }
+  if (dtw::LbKeoghExceeds(ordered, cand.data(), cand_env.data(), radius,
+                          /*symmetric=*/true)) {
+    ++st->keogh_rejections;
+    return false;
+  }
+  ++st->full_dtw;
+  auto d = dtw::DtwDistance(query, cand, opts, radius);
+  return d.ok() && *d <= radius;
+}
+
 void CascadeStats() {
   std::printf("=== Ablation: lower-bound cascade pruning ===\n");
   // Structured candidates: 30 phase families x level offsets, as a real
@@ -193,20 +226,27 @@ void CascadeStats() {
       candidates.push_back(std::move(v));
     }
   }
-  std::vector<dtw::Envelope> envs;
+  const dtw::DtwOptions dopts{4};
+  std::vector<std::vector<double>> envs;
   envs.reserve(candidates.size());
-  for (auto& c : candidates) envs.push_back(dtw::BuildEnvelope(c, 4));
-  dtw::CascadingDtw cascade({4});
+  for (auto& c : candidates) {
+    envs.push_back(InterleavedEnvelope(c, dopts.window));
+  }
   const std::vector<double>& query = candidates[0];
+  dtw::OrderedQuery ordered;
+  ordered.Reset(query.data(), envs[0].data(), query.size());
+  dtw::PruningStats st;
   size_t neighbors = 0;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    auto within = cascade.WithinRadius(query, candidates[i], envs[i], 3.0);
-    if (within.ok() && *within) ++neighbors;
+    if (CascadeWithinRadius(query, ordered, candidates[i], envs[i], dopts, 3.0,
+                            &st)) {
+      ++neighbors;
+    }
   }
   TablePrinter t({"tier", "decided"});
-  t.AddRow({"LB_Kim rejections", std::to_string(cascade.kim_rejections())});
-  t.AddRow({"LB_Keogh rejections", std::to_string(cascade.keogh_rejections())});
-  t.AddRow({"full DTW computations", std::to_string(cascade.full_computations())});
+  t.AddRow({"LB_Kim rejections", std::to_string(st.kim_rejections)});
+  t.AddRow({"LB_Keogh rejections", std::to_string(st.keogh_rejections)});
+  t.AddRow({"full DTW computations", std::to_string(st.full_dtw)});
   t.AddRow({"neighbors found", std::to_string(neighbors)});
   t.Print();
   std::printf("\n");
@@ -410,11 +450,15 @@ BENCHMARK(BM_LbKeogh)->Arg(96)->Arg(512);
 void BM_CascadeReject(benchmark::State& state) {
   // Far-apart traces: the cascade should reject in ~constant time.
   std::vector<double> a(96, 0.0), b(96, 50.0);
-  auto env = dtw::BuildEnvelope(b, 8);
-  dtw::CascadingDtw cascade({8});
+  const dtw::DtwOptions opts{8};
+  const std::vector<double> a_env = InterleavedEnvelope(a, opts.window);
+  const std::vector<double> b_env = InterleavedEnvelope(b, opts.window);
+  dtw::OrderedQuery ordered;
+  ordered.Reset(a.data(), a_env.data(), a.size());
+  dtw::PruningStats st;
   for (auto _ : state) {
-    auto d = cascade.Distance(a, b, env, 1.0);
-    benchmark::DoNotOptimize(d);
+    bool within = CascadeWithinRadius(a, ordered, b, b_env, opts, 1.0, &st);
+    benchmark::DoNotOptimize(within);
   }
 }
 BENCHMARK(BM_CascadeReject);

@@ -296,8 +296,6 @@ struct EpochResult {
   double naive_ms = 0.0;
   double fused_ms = 0.0;
   double speedup = 0.0;
-  double fused_f32_ms = 0.0;  // same epoch through the f32 training path
-  double speedup_f32 = 0.0;
 };
 
 // One WFGAN training batch runs the generator trunk fwd+bwd once and the
@@ -350,47 +348,10 @@ EpochResult RunWfganEpochCase(bool smoke, Rng* rng) {
   }
   double t3 = NowSeconds();
 
-  // f32 leg: the same epoch through the single-precision training path a
-  // model opts into with Precision::kF32.
-  std::vector<nn::MatrixF> xs32, grads32;
-  xs32.reserve(xs.size());
-  grads32.reserve(grads.size());
-  for (const Matrix& x : xs) {
-    nn::MatrixF m(x.rows(), x.cols());
-    for (size_t i = 0; i < x.size(); ++i) {
-      m.data()[i] = static_cast<float>(x.data()[i]);
-    }
-    xs32.push_back(std::move(m));
-  }
-  for (const Matrix& g : grads) {
-    nn::MatrixF m(g.rows(), g.cols());
-    for (size_t i = 0; i < g.size(); ++i) {
-      m.data()[i] = static_cast<float>(g.data()[i]);
-    }
-    grads32.push_back(std::move(m));
-  }
-  nn::LSTMF fused32(1, r.hidden, rng);
-  fused32.ForwardSequence(xs32);
-  fused32.BackwardSequence(grads32);
-  double t4 = NowSeconds();
-  for (int rep = 0; rep < r.reps; ++rep) {
-    for (int bi = 0; bi < r.batches; ++bi) {
-      for (int p = 0; p < r.seq_passes; ++p) {
-        const std::vector<nn::MatrixF>& hs = fused32.ForwardSequence(xs32);
-        const std::vector<nn::MatrixF>& dxs = fused32.BackwardSequence(grads32);
-        sink += static_cast<double>(hs.back().data()[0]) +
-                static_cast<double>(dxs[0].data()[0]);
-      }
-    }
-  }
-  double t5 = NowSeconds();
-
   if (sink == 12345.6789) std::fprintf(stderr, "~");
   r.naive_ms = (t1 - t0) * 1e3 / r.reps;
   r.fused_ms = (t3 - t2) * 1e3 / r.reps;
   r.speedup = r.fused_ms > 0.0 ? r.naive_ms / r.fused_ms : 0.0;
-  r.fused_f32_ms = (t5 - t4) * 1e3 / r.reps;
-  r.speedup_f32 = r.fused_f32_ms > 0.0 ? r.naive_ms / r.fused_f32_ms : 0.0;
   return r;
 }
 
@@ -416,11 +377,9 @@ void WriteJson(std::FILE* out, bool smoke,
                "  \"wfgan_lstm_epoch\": {\"batch\": %zu, \"steps\": %zu, "
                "\"hidden\": %zu, \"batches\": %d, \"seq_passes\": %d, "
                "\"reps\": %d, \"naive_ms\": %.2f, \"fused_ms\": %.2f, "
-               "\"speedup\": %.3f, \"fused_f32_ms\": %.2f, "
-               "\"speedup_f32\": %.3f}\n",
+               "\"speedup\": %.3f}\n",
                ep.batch, ep.steps, ep.hidden, ep.batches, ep.seq_passes,
-               ep.reps, ep.naive_ms, ep.fused_ms, ep.speedup, ep.fused_f32_ms,
-               ep.speedup_f32);
+               ep.reps, ep.naive_ms, ep.fused_ms, ep.speedup);
   std::fprintf(out, "}\n");
 }
 
@@ -449,8 +408,6 @@ int Main(int argc, char** argv) {
   EpochResult ep = RunWfganEpochCase(smoke, &rng);
   std::fprintf(stderr, "wfgan_lstm_epoch   naive %10.2f ms  fused %10.2f ms  %5.2fx\n",
                ep.naive_ms, ep.fused_ms, ep.speedup);
-  std::fprintf(stderr, "wfgan_lstm_epoch   f32 fused %10.2f ms  %5.2fx\n",
-               ep.fused_f32_ms, ep.speedup_f32);
 
   std::FILE* out = stdout;
   if (out_path != nullptr) {

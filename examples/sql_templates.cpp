@@ -7,6 +7,7 @@
 //   ./sql_templates
 
 #include <cstdio>
+#include <vector>
 
 #include "cluster/descender.h"
 #include "common/table_printer.h"
@@ -76,11 +77,11 @@ int main() {
   }
 
   TablePrinter table({"template", "cluster", "core", "share"});
+  const std::vector<double> shares = desc.TraceProportions();
   for (size_t i = 0; i < desc.trace_count(); ++i) {
-    auto share = desc.TraceProportion(i);
     table.AddRow({extractor.registry().template_text(i).substr(0, 52),
                   std::to_string(desc.label(i)), desc.is_core(i) ? "yes" : "no",
-                  share.ok() ? TablePrinter::Fmt(*share, 2) : "?"});
+                  TablePrinter::Fmt(shares[i], 2)});
   }
   table.Print();
   std::printf(

@@ -271,21 +271,24 @@ StatusOr<ts::Series> Descender::ClusterRepresentative(int cluster_id) const {
   return avg;
 }
 
-StatusOr<double> Descender::TraceProportion(size_t i) const {
-  if (i >= traces_.size()) return Status::OutOfRange("Descender: bad index");
-  double cluster_volume = 0.0;
-  for (size_t j = 0; j < labels_.size(); ++j) {
-    if (labels_[j] == labels_[i]) cluster_volume += volumes_[j];
+std::vector<double> Descender::TraceProportions() const {
+  // Each cluster's volume sums its members in ascending trace order.
+  const size_t clusters = cluster_count();
+  std::vector<double> cluster_volume(clusters, 0.0);
+  std::vector<size_t> members(clusters, 0);
+  for (size_t i = 0; i < labels_.size(); ++i) {
+    const size_t l = static_cast<size_t>(labels_[i]);
+    cluster_volume[l] += volumes_[i];
+    ++members[l];
   }
-  if (cluster_volume <= 0.0) {
-    // Zero-volume cluster: split evenly among members.
-    size_t count = 0;
-    for (int l : labels_) {
-      if (l == labels_[i]) ++count;
-    }
-    return 1.0 / static_cast<double>(count);
+  std::vector<double> out(labels_.size());
+  for (size_t i = 0; i < labels_.size(); ++i) {
+    const size_t l = static_cast<size_t>(labels_[i]);
+    out[i] = cluster_volume[l] <= 0.0
+                 ? 1.0 / static_cast<double>(members[l])
+                 : volumes_[i] / cluster_volume[l];
   }
-  return volumes_[i] / cluster_volume;
+  return out;
 }
 
 }  // namespace dbaugur::cluster

@@ -93,10 +93,12 @@ class Descender {
   /// data for that cluster).
   StatusOr<ts::Series> ClusterRepresentative(int cluster_id) const;
 
-  /// Trace i's share of its cluster's volume — used to scale a cluster-level
-  /// forecast back to the individual trace (paper: "we also track each trace
-  /// and its proportion in the corresponding cluster").
-  StatusOr<double> TraceProportion(size_t i) const;
+  /// Every trace's share of its cluster's volume, indexed like the traces —
+  /// used to scale a cluster-level forecast back to the individual trace
+  /// (paper: "we also track each trace and its proportion in the
+  /// corresponding cluster"). A zero-volume cluster splits evenly among its
+  /// members. One pass over the labels, O(n).
+  std::vector<double> TraceProportions() const;
 
   /// Candidate pairs evaluated by the cascade (the grid's output), i.e.
   /// pruning_stats().candidates (telemetry for the clustering ablation).

@@ -57,13 +57,10 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   state.descender = std::make_unique<cluster::Descender>(opts.clustering);
   DBAUGUR_RETURN_IF_ERROR(state.descender->AddTraces(traces));
   state.trace_cluster.resize(traces.size());
-  state.trace_proportion.resize(traces.size());
   for (size_t i = 0; i < traces.size(); ++i) {
     state.trace_cluster[i] = state.descender->label(i);
-    auto prop = state.descender->TraceProportion(i);
-    if (!prop.ok()) return prop.status();
-    state.trace_proportion[i] = *prop;
   }
+  state.trace_proportion = state.descender->TraceProportions();
   // Clustering is the first long stage: re-check between it and the fits so
   // a watchdog firing mid-cluster stops the build before any model trains.
   if (cancel != nullptr && cancel->cancelled()) {

@@ -314,39 +314,4 @@ bool LbKeoghExceeds(const OrderedQuery& query, const double* cand,
   return false;
 }
 
-StatusOr<bool> CascadingDtw::WithinRadius(const std::vector<double>& query,
-                                          const std::vector<double>& candidate,
-                                          const Envelope& cand_env,
-                                          double radius,
-                                          const Envelope* query_env) {
-  auto d = Distance(query, candidate, cand_env, radius, query_env);
-  if (!d.ok()) return d.status();
-  return *d <= radius;
-}
-
-StatusOr<double> CascadingDtw::Distance(const std::vector<double>& query,
-                                        const std::vector<double>& candidate,
-                                        const Envelope& cand_env,
-                                        double upper_bound,
-                                        const Envelope* query_env) {
-  if (upper_bound != kNoBound) {
-    if (LbKim(query, candidate) > upper_bound) {
-      ++stats_.kim_rejections;
-      return std::numeric_limits<double>::infinity();
-    }
-    double lb = LbKeogh(query, cand_env);
-    if (query_env != nullptr) {
-      lb = std::max(lb, LbKeogh(candidate, *query_env));
-    }
-    if (lb > upper_bound) {
-      ++stats_.keogh_rejections;
-      return std::numeric_limits<double>::infinity();
-    }
-  }
-  ++stats_.full_dtw;
-  return DtwDistance(query, candidate, opts_, upper_bound);
-}
-
-void CascadingDtw::ResetCounters() { stats_ = PruningStats(); }
-
 }  // namespace dbaugur::dtw

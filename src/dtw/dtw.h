@@ -134,8 +134,8 @@ bool LbKeoghExceeds(const OrderedQuery& query, const double* cand,
 
 /// Per-tier telemetry for the neighbor-search cascade: how many candidate
 /// pairs a search considered, how many each lower-bound tier rejected and
-/// how many paid for a full DTW. Threaded from CascadingDtw and Descender
-/// through core::DBAugur into the efficiency benches.
+/// how many paid for a full DTW. Threaded from Descender through
+/// core::DBAugur into the efficiency benches.
 struct PruningStats {
   int64_t candidates = 0;        ///< Pairs Descender's grid index returned.
   int64_t kim_rejections = 0;    ///< Candidates rejected by LB_Kim.
@@ -149,40 +149,6 @@ struct PruningStats {
     full_dtw += o.full_dtw;
     return *this;
   }
-};
-
-/// Cascading evaluator: LB_Kim → LB_Keogh → early-abandoning DTW. Used by
-/// the clustering range queries; counts how often each tier decided, which
-/// the ablation bench reports.
-class CascadingDtw {
- public:
-  explicit CascadingDtw(const DtwOptions& opts) : opts_(opts) {}
-
-  /// True iff DTW(query, candidate) <= radius. `cand_env` must be the
-  /// candidate's envelope for the same window. When `query_env` is supplied
-  /// the Keogh tier uses the symmetric two-sided bound, which prunes
-  /// strictly more candidates without changing any accept/reject decision.
-  StatusOr<bool> WithinRadius(const std::vector<double>& query,
-                              const std::vector<double>& candidate,
-                              const Envelope& cand_env, double radius,
-                              const Envelope* query_env = nullptr);
-
-  /// Exact distance with the cascade used as a fast reject against
-  /// `upper_bound`; returns +infinity if the bound proves distance > bound.
-  StatusOr<double> Distance(const std::vector<double>& query,
-                            const std::vector<double>& candidate,
-                            const Envelope& cand_env, double upper_bound,
-                            const Envelope* query_env = nullptr);
-
-  const PruningStats& stats() const { return stats_; }
-  int64_t kim_rejections() const { return stats_.kim_rejections; }
-  int64_t keogh_rejections() const { return stats_.keogh_rejections; }
-  int64_t full_computations() const { return stats_.full_dtw; }
-  void ResetCounters();
-
- private:
-  DtwOptions opts_;
-  PruningStats stats_;
 };
 
 }  // namespace dbaugur::dtw

@@ -1,10 +1,5 @@
 // LSTM forecaster baseline (paper setup: input length 30, hidden/output
 // dimension 16, dense head producing the final value).
-//
-// Supports both training precisions (ForecasterOptions::precision): the
-// model owns exactly one Core<double> or Core<float> — same layer graph,
-// optimizer, and batch schedule, instantiated at the chosen element width.
-// The f32 core doubles the SIMD lanes per vector on every dispatch tier.
 
 #pragma once
 
@@ -42,26 +37,19 @@ class LstmForecaster : public Forecaster {
   Status TrainEpoch();
 
   /// Parameter tensors in layer order (lstm, head) — used by serialization.
-  /// Params() requires Precision::kF64, ParamsF() requires Precision::kF32
-  /// (checked).
   std::vector<nn::Param> Params() const;
-  std::vector<nn::ParamF> ParamsF() const;
 
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots) at
-  /// either precision — the float64 wire form is exact for both widths.
+  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
   StatusOr<std::vector<uint8_t>> SaveState() const override;
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:
-  template <typename T>
-  struct Core;  // layers + optimizer + batch workspaces at width T
+  struct Core;  // layers + optimizer + batch workspaces
 
   ForecasterOptions opts_;
   LstmOptions lstm_opts_;
   mutable Rng rng_;
-  // Exactly one of the two cores is non-null, per opts_.precision.
-  std::unique_ptr<Core<double>> core64_;
-  std::unique_ptr<Core<float>> core32_;
+  std::unique_ptr<Core> core_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;

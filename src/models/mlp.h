@@ -1,8 +1,5 @@
 // MLP forecaster (the paper's short-term "local view" model): two hidden
 // layers of 32 and 16 ReLU units over the raw condition window.
-//
-// Supports both training precisions (ForecasterOptions::precision) via one
-// Core<double> or Core<float> — see lstm_forecaster.h for the pattern.
 
 #pragma once
 
@@ -42,26 +39,19 @@ class MlpForecaster : public Forecaster {
   Status TrainEpoch();
 
   /// Parameter tensors in layer order (l1, l2, l3) — used by serialization.
-  /// Params() requires Precision::kF64, ParamsF() requires Precision::kF32
-  /// (checked).
   std::vector<nn::Param> Params() const;
-  std::vector<nn::ParamF> ParamsF() const;
 
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots) at
-  /// either precision.
+  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
   StatusOr<std::vector<uint8_t>> SaveState() const override;
   Status LoadState(const std::vector<uint8_t>& buffer) override;
 
  private:
-  template <typename T>
-  struct Core;  // layers + optimizer + batch workspaces at width T
+  struct Core;  // layers + optimizer + batch workspaces
 
   ForecasterOptions opts_;
   MlpOptions mlp_;
   mutable Rng rng_;
-  // Exactly one of the two cores is non-null, per opts_.precision.
-  std::unique_ptr<Core<double>> core64_;
-  std::unique_ptr<Core<float>> core32_;
+  std::unique_ptr<Core> core_;
   ts::MinMaxScaler scaler_;
   std::vector<ts::WindowSample> train_samples_;
   bool fitted_ = false;

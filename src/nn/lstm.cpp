@@ -9,8 +9,7 @@
 
 namespace dbaugur::nn {
 
-template <typename T>
-LSTMT<T>::LSTMT(size_t input_size, size_t hidden_size, Rng* rng)
+LSTM::LSTM(size_t input_size, size_t hidden_size, Rng* rng)
     : input_(input_size),
       hidden_(hidden_size),
       wx_(input_size, 4 * hidden_size),
@@ -25,12 +24,11 @@ LSTMT<T>::LSTMT(size_t input_size, size_t hidden_size, Rng* rng)
   XavierInit(&wx_, rng);
   XavierInit(&wh_, rng);
   // Forget-gate bias starts at 1 so early training retains state.
-  for (size_t j = hidden_; j < 2 * hidden_; ++j) b_(0, j) = T(1);
+  for (size_t j = hidden_; j < 2 * hidden_; ++j) b_(0, j) = 1.0;
 }
 
-template <typename T>
-const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
-    const std::vector<MatrixT<T>>& xs) {
+const std::vector<Matrix>& LSTM::ForwardSequence(
+    const std::vector<Matrix>& xs) {
   const size_t steps = xs.size();
   steps_ = steps;
   hs_.resize(steps);
@@ -39,17 +37,17 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
   const size_t batch = xs[0].rows();
   // Contracts hoisted out of the step loop: validate the whole sequence once,
   // then run the hot loop contract-free.
-  for (const MatrixT<T>& x : xs) {
+  for (const Matrix& x : xs) {
     DBAUGUR_CHECK_EQ(x.cols(), input_, "LSTM::ForwardSequence step width");
     DBAUGUR_CHECK_EQ(x.rows(), batch,
                      "LSTM::ForwardSequence inconsistent batch size");
   }
   zeros_.Resize(batch, hidden_);
-  zeros_.Fill(T(0));
+  zeros_.Fill(0.0);
   for (size_t t = 0; t < steps; ++t) {
     StepCache& sc = cache_[t];
-    const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
-    const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
+    const Matrix& h_prev = t == 0 ? zeros_ : hs_[t - 1];
+    const Matrix& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
     sc.x = xs[t];
     // Fused gate pre-activation: z = x Wx + h_prev Wh + b, one workspace.
     z_.MatMulInto(sc.x, wx_);
@@ -70,9 +68,8 @@ const std::vector<MatrixT<T>>& LSTMT<T>::ForwardSequence(
   return hs_;
 }
 
-template <typename T>
-const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
-    const std::vector<MatrixT<T>>& grad_hs) {
+const std::vector<Matrix>& LSTM::BackwardSequence(
+    const std::vector<Matrix>& grad_hs) {
   const size_t steps = steps_;
   DBAUGUR_CHECK_EQ(grad_hs.size(), steps,
                    "LSTM::BackwardSequence gradient count does not match the "
@@ -80,22 +77,22 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
   dxs_.resize(steps);
   if (steps == 0) return dxs_;
   const size_t batch = cache_[0].x.rows();
-  for (const MatrixT<T>& g : grad_hs) {
+  for (const Matrix& g : grad_hs) {
     DBAUGUR_CHECK(g.rows() == batch && g.cols() == hidden_,
                   "LSTM::BackwardSequence gradient shape ", g.rows(), "x",
                   g.cols(), " does not match hidden states ", batch, "x",
                   hidden_);
   }
   dh_next_.Resize(batch, hidden_);
-  dh_next_.Fill(T(0));
+  dh_next_.Fill(0.0);
   dc_next_.Resize(batch, hidden_);
-  dc_next_.Fill(T(0));
+  dc_next_.Fill(0.0);
   dc_prev_.Resize(batch, hidden_);
   dz_.Resize(batch, 4 * hidden_);
   for (size_t t = steps; t-- > 0;) {
     const StepCache& sc = cache_[t];
-    const MatrixT<T>& h_prev = t == 0 ? zeros_ : hs_[t - 1];
-    const MatrixT<T>& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
+    const Matrix& h_prev = t == 0 ? zeros_ : hs_[t - 1];
+    const Matrix& c_prev = t == 0 ? zeros_ : cache_[t - 1].c;
     dh_ = grad_hs[t];
     dh_.Add(dh_next_);
     // All element-wise gate gradients fuse into one pass producing dz and the
@@ -113,21 +110,16 @@ const std::vector<MatrixT<T>>& LSTMT<T>::BackwardSequence(
   return dxs_;
 }
 
-template <typename T>
-std::vector<ParamT<T>> LSTMT<T>::Params() {
+std::vector<Param> LSTM::Params() {
   return {{&wx_, &dwx_, "lstm.wx"},
           {&wh_, &dwh_, "lstm.wh"},
           {&b_, &db_, "lstm.b"}};
 }
 
-template <typename T>
-void LSTMT<T>::ZeroGrad() {
-  dwx_.Fill(T(0));
-  dwh_.Fill(T(0));
-  db_.Fill(T(0));
+void LSTM::ZeroGrad() {
+  dwx_.Fill(0.0);
+  dwh_.Fill(0.0);
+  db_.Fill(0.0);
 }
-
-template class LSTMT<double>;
-template class LSTMT<float>;
 
 }  // namespace dbaugur::nn

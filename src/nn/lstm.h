@@ -23,25 +23,23 @@ namespace dbaugur::nn {
 /// The fused element-wise gate math routes through the runtime-dispatched
 /// kernels in nn/lstm_kernels.h (see there for the per-tier determinism
 /// contract); the matmuls route through nn/gemm.h as before.
-template <typename T>
-class LSTMT {
+class LSTM {
  public:
-  LSTMT(size_t input_size, size_t hidden_size, Rng* rng);
+  LSTM(size_t input_size, size_t hidden_size, Rng* rng);
 
   /// Runs the full sequence from zero initial state, caching activations for
   /// BackwardSequence. The returned vector is a layer-owned workspace valid
   /// until the next ForwardSequence call; steady-state calls with the same
   /// shapes do not touch the heap.
-  const std::vector<MatrixT<T>>& ForwardSequence(
-      const std::vector<MatrixT<T>>& xs);
+  const std::vector<Matrix>& ForwardSequence(const std::vector<Matrix>& xs);
 
   /// grad_hs[t] = dLoss/dh_t (zero matrices allowed). Accumulates parameter
   /// gradients and returns dLoss/dx_t for each step (layer-owned workspace,
   /// valid until the next BackwardSequence call).
-  const std::vector<MatrixT<T>>& BackwardSequence(
-      const std::vector<MatrixT<T>>& grad_hs);
+  const std::vector<Matrix>& BackwardSequence(
+      const std::vector<Matrix>& grad_hs);
 
-  std::vector<ParamT<T>> Params();
+  std::vector<Param> Params();
   void ZeroGrad();
 
   size_t input_size() const { return input_; }
@@ -51,32 +49,26 @@ class LSTMT {
   // h_prev/c_prev are not stored per step: backward reads hs_[t-1] /
   // cache_[t-1].c (zeros_ at t == 0) instead of keeping copies.
   struct StepCache {
-    MatrixT<T> x;           // input copy (callers may mutate theirs)
-    MatrixT<T> i, f, g, o;  // gate activations, each [batch, hidden]
-    MatrixT<T> c, tanh_c;
+    Matrix x;           // input copy (callers may mutate theirs)
+    Matrix i, f, g, o;  // gate activations, each [batch, hidden]
+    Matrix c, tanh_c;
   };
 
   size_t input_;
   size_t hidden_;
-  MatrixT<T> wx_;  // [input, 4*hidden]
-  MatrixT<T> wh_;  // [hidden, 4*hidden]
-  MatrixT<T> b_;   // [1, 4*hidden]
-  MatrixT<T> dwx_, dwh_, db_;
+  Matrix wx_;  // [input, 4*hidden]
+  Matrix wh_;  // [hidden, 4*hidden]
+  Matrix b_;   // [1, 4*hidden]
+  Matrix dwx_, dwh_, db_;
   std::vector<StepCache> cache_;  // persistent; first steps_ entries valid
   size_t steps_ = 0;              // steps of the cached forward pass
 
   // Persistent workspaces (capacity survives across calls).
-  std::vector<MatrixT<T>> hs_;   // per-step hidden states returned by forward
-  std::vector<MatrixT<T>> dxs_;  // per-step input grads returned by backward
-  MatrixT<T> zeros_;             // [batch, hidden] zero initial h/c
-  MatrixT<T> z_;                 // fused gate pre-activation [batch, 4*hidden]
-  MatrixT<T> dh_, dz_, dh_next_, dc_next_, dc_prev_;
+  std::vector<Matrix> hs_;   // per-step hidden states returned by forward
+  std::vector<Matrix> dxs_;  // per-step input grads returned by backward
+  Matrix zeros_;             // [batch, hidden] zero initial h/c
+  Matrix z_;                 // fused gate pre-activation [batch, 4*hidden]
+  Matrix dh_, dz_, dh_next_, dc_next_, dc_prev_;
 };
-
-extern template class LSTMT<double>;
-extern template class LSTMT<float>;
-
-using LSTM = LSTMT<double>;
-using LSTMF = LSTMT<float>;
 
 }  // namespace dbaugur::nn

@@ -287,13 +287,53 @@ TEST(DescenderTest, TraceProportions) {
   Descender desc(MakeOpts(100.0, 2));
   ASSERT_TRUE(desc.AddTrace(ts::Series(0, 60, {1, 1, 1})).ok());  // volume 3
   ASSERT_TRUE(desc.AddTrace(ts::Series(0, 60, {3, 3, 3})).ok());  // volume 9
-  auto p0 = desc.TraceProportion(0);
-  auto p1 = desc.TraceProportion(1);
-  ASSERT_TRUE(p0.ok());
-  ASSERT_TRUE(p1.ok());
-  EXPECT_DOUBLE_EQ(*p0, 0.25);
-  EXPECT_DOUBLE_EQ(*p1, 0.75);
-  EXPECT_FALSE(desc.TraceProportion(5).ok());
+  std::vector<double> p = desc.TraceProportions();
+  ASSERT_EQ(p.size(), 2u);
+  EXPECT_DOUBLE_EQ(p[0], 0.25);
+  EXPECT_DOUBLE_EQ(p[1], 0.75);
+}
+
+// Several clusters, one of zero volume and one singleton of negative volume:
+// the one-pass TraceProportions() equals the per-trace definition (own
+// volume over the cluster's volume summed in trace order, or an even split
+// when that sum is not positive) bit for bit.
+TEST(DescenderTest, TraceProportionsMatchPerTraceDefinition) {
+  DescenderOptions opts = MakeOpts(1.0, 2, 1);
+  opts.znormalize = false;
+  Descender desc(opts);
+  const std::vector<std::vector<double>> traces = {
+      {5, 6, 7},     {0, 0, 0},     {5, 6, 7.5},       {0.5, -0.5, 0},
+      {10, 20, 30},  {5.5, 6, 7},   {-0.25, 0.25, 0},  {-10, -20, -5},
+  };
+  for (const auto& t : traces) {
+    ASSERT_TRUE(desc.AddTrace(ts::Series(0, 60, t)).ok());
+  }
+  ASSERT_EQ(desc.label(0), desc.label(2));
+  ASSERT_EQ(desc.label(0), desc.label(5));
+  ASSERT_EQ(desc.label(1), desc.label(3));
+  ASSERT_EQ(desc.label(1), desc.label(6));
+  ASSERT_NE(desc.label(0), desc.label(1));
+  ASSERT_EQ(desc.cluster_count(), 4u);
+
+  std::vector<double> volume(traces.size(), 0.0);
+  for (size_t i = 0; i < traces.size(); ++i) {
+    for (double x : traces[i]) volume[i] += x;
+  }
+  std::vector<double> want(traces.size());
+  for (size_t i = 0; i < traces.size(); ++i) {
+    double cluster_volume = 0.0;
+    size_t members = 0;
+    for (size_t j = 0; j < traces.size(); ++j) {
+      if (desc.label(j) != desc.label(i)) continue;
+      cluster_volume += volume[j];
+      ++members;
+    }
+    want[i] = cluster_volume <= 0.0 ? 1.0 / static_cast<double>(members)
+                                    : volume[i] / cluster_volume;
+  }
+  EXPECT_EQ(desc.TraceProportions(), want);
+  EXPECT_DOUBLE_EQ(want[1], 1.0 / 3.0);  // zero-volume cluster: even split
+  EXPECT_DOUBLE_EQ(want[7], 1.0);        // negative-volume singleton
 }
 
 TEST(DescenderTest, InputValidation) {

@@ -5,8 +5,8 @@
 // input; LB_Keogh may differ by a few ULP (W-partial-sum reduction) but must
 // stay an admissible lower bound; the reordered early-abandoning LB_Keogh
 // test never rejects a true neighbour and otherwise agrees with the plain
-// bound; and the full cascade returns the same accept/reject decisions and
-// distances as plain DTW on every tier.
+// bound. Descender's whole cascade is checked against brute-force DTW
+// clustering in cluster_index_test.
 
 #include <gtest/gtest.h>
 
@@ -148,46 +148,6 @@ TEST_F(DtwTierTest, LbKeoghStaysAdmissibleAndUlpCloseOnEveryTier) {
             << simd::TierName(t) << " n=" << n << " window=" << window;
       }
     }
-  }
-}
-
-TEST_F(DtwTierTest, CascadeMatchesPlainDtwOnEveryTier) {
-  const size_t kN = 40;
-  const int kWindow = 5;
-  DtwOptions opts;
-  opts.window = kWindow;
-  uint64_t seed = 701;
-  for (Tier t : HostTiers()) {
-    ASSERT_TRUE(simd::ForceTier(t));
-    CascadingDtw cascade(opts);
-    int64_t calls = 0;
-    for (int rep = 0; rep < 24; ++rep) {
-      auto q = RandomTrace(kN, ++seed);
-      auto c = RandomTrace(kN, ++seed);
-      Envelope q_env = BuildEnvelope(q, kWindow);
-      Envelope c_env = BuildEnvelope(c, kWindow);
-      double exact = *DtwDistance(q, c, opts);
-      // Radii below and above the true distance: the cascade's accept /
-      // reject must equal the plain-DTW comparison on every tier.
-      for (double radius : {exact * 0.25, exact * 0.9, exact * 1.1}) {
-        auto within = cascade.WithinRadius(q, c, c_env, radius, &q_env);
-        ASSERT_TRUE(within.ok()) << simd::TierName(t);
-        EXPECT_EQ(*within, exact <= radius)
-            << simd::TierName(t) << " radius=" << radius
-            << " exact=" << exact;
-        ++calls;
-      }
-      // Distance with a generous bound must be the exact distance.
-      auto d = cascade.Distance(q, c, c_env, exact * 2.0, &q_env);
-      ASSERT_TRUE(d.ok()) << simd::TierName(t);
-      EXPECT_EQ(*d, exact) << simd::TierName(t);
-      ++calls;
-    }
-    // Every call is decided exactly once: by LB_Kim, LB_Keogh, or full DTW.
-    const PruningStats& st = cascade.stats();
-    EXPECT_EQ(st.kim_rejections + st.keogh_rejections + st.full_dtw, calls)
-        << simd::TierName(t);
-    EXPECT_GT(st.full_dtw, 0) << simd::TierName(t);
   }
 }
 

@@ -239,65 +239,15 @@ TEST(LowerBoundTest, LbKeoghZeroForDifferentLengths) {
   EXPECT_DOUBLE_EQ(LbKeogh(a, env), 0.0);
 }
 
-TEST(CascadeTest, NeverRejectsTrueNeighbors) {
-  Rng rng(15);
-  const int kWindow = 5;
-  CascadingDtw cascade({kWindow});
-  int accepted = 0;
-  for (int trial = 0; trial < 100; ++trial) {
-    std::vector<double> a(24), b(24);
-    for (size_t i = 0; i < 24; ++i) {
-      a[i] = rng.Gaussian();
-      b[i] = a[i] + rng.Gaussian(0, 0.3);
-    }
-    Envelope env = BuildEnvelope(b, kWindow);
-    auto exact = DtwDistance(a, b, {kWindow});
-    ASSERT_TRUE(exact.ok());
-    double radius = 1.5;
-    auto within = cascade.WithinRadius(a, b, env, radius);
-    ASSERT_TRUE(within.ok());
-    EXPECT_EQ(*within, *exact <= radius) << "trial " << trial;
-    if (*within) ++accepted;
-  }
-  EXPECT_GT(accepted, 0);
-  EXPECT_GT(cascade.full_computations(), 0);
-}
-
-TEST(CascadeTest, DistanceEqualsPlainDtwWhenNotPruned) {
-  Rng rng(25);
-  const int kWindow = 5;
-  CascadingDtw cascade({kWindow});
-  for (int trial = 0; trial < 30; ++trial) {
-    std::vector<double> a(28), b(28);
-    for (size_t i = 0; i < 28; ++i) {
-      a[i] = rng.Gaussian();
-      b[i] = a[i] + rng.Gaussian(0, 0.2);
-    }
-    Envelope env_a = BuildEnvelope(a, kWindow);
-    Envelope env_b = BuildEnvelope(b, kWindow);
-    auto exact = DtwDistance(a, b, {kWindow});
-    ASSERT_TRUE(exact.ok());
-    // No bound: the cascade cannot prune and must return the exact distance.
-    auto unbounded = cascade.Distance(a, b, env_b, kNoBound);
-    ASSERT_TRUE(unbounded.ok());
-    EXPECT_DOUBLE_EQ(*unbounded, *exact) << "trial " << trial;
-    // Generous bound, symmetric form: still no pruning, still exact.
-    auto bounded = cascade.Distance(a, b, env_b, 1e6, &env_a);
-    ASSERT_TRUE(bounded.ok());
-    EXPECT_DOUBLE_EQ(*bounded, *exact) << "trial " << trial;
-  }
-  EXPECT_EQ(cascade.kim_rejections(), 0);
-  EXPECT_EQ(cascade.keogh_rejections(), 0);
-}
-
 TEST(CascadeTest, SymmetricBoundRejectsWhereOneSidedCannot) {
   // Flat query vs oscillating candidate: the candidate's envelope is wide,
   // so the flat series sits inside it (one-sided bound 0) — but the flat
   // series' envelope is degenerate, so the reverse direction sees the full
   // oscillation and rejects without any DTW.
   const int kWindow = 2;
-  std::vector<double> flat(32, 0.0);
-  std::vector<double> spiky(32, 0.0);
+  const size_t n = 32;
+  std::vector<double> flat(n, 0.0);
+  std::vector<double> spiky(n, 0.0);
   for (size_t i = 1; i + 1 < spiky.size(); i += 2) spiky[i] = 3.0;
   Envelope env_flat = BuildEnvelope(flat, kWindow);
   Envelope env_spiky = BuildEnvelope(spiky, kWindow);
@@ -306,35 +256,19 @@ TEST(CascadeTest, SymmetricBoundRejectsWhereOneSidedCannot) {
   ASSERT_EQ(LbKeogh(flat, env_spiky), 0.0);       // one-sided can't either
   ASSERT_GT(LbKeogh(spiky, env_flat), radius);    // the reverse side can
 
-  CascadingDtw one_sided({kWindow});
-  auto d1 = one_sided.Distance(flat, spiky, env_spiky, radius);
-  ASSERT_TRUE(d1.ok());
-  EXPECT_EQ(one_sided.full_computations(), 1);
-
-  CascadingDtw symmetric({kWindow});
-  auto d2 = symmetric.Distance(flat, spiky, env_spiky, radius, &env_flat);
-  ASSERT_TRUE(d2.ok());
-  EXPECT_TRUE(std::isinf(*d2));
-  EXPECT_EQ(symmetric.full_computations(), 0);
-  EXPECT_EQ(symmetric.stats().keogh_rejections, 1);
-  // Both agree on the decision: the true distance really is over the radius.
+  std::vector<double> flat_env(2 * n), spiky_env(2 * n);
+  BuildEnvelopeInterleaved(flat.data(), n, kWindow, flat_env.data());
+  BuildEnvelopeInterleaved(spiky.data(), n, kWindow, spiky_env.data());
+  OrderedQuery query;
+  query.Reset(flat.data(), flat_env.data(), n);
+  EXPECT_FALSE(LbKeoghExceeds(query, spiky.data(), spiky_env.data(), radius,
+                              /*symmetric=*/false));
+  EXPECT_TRUE(LbKeoghExceeds(query, spiky.data(), spiky_env.data(), radius,
+                             /*symmetric=*/true));
+  // The symmetric rejection is right: the true distance is over the radius.
   auto exact = DtwDistance(flat, spiky, {kWindow});
   ASSERT_TRUE(exact.ok());
   EXPECT_GT(*exact, radius);
-}
-
-TEST(CascadeTest, CountersTrackRejections) {
-  CascadingDtw cascade({3});
-  std::vector<double> a(10, 0.0);
-  std::vector<double> far(10, 100.0);
-  Envelope env = BuildEnvelope(far, 3);
-  auto d = cascade.Distance(a, far, env, 1.0);
-  ASSERT_TRUE(d.ok());
-  EXPECT_TRUE(std::isinf(*d));
-  EXPECT_EQ(cascade.kim_rejections(), 1);
-  EXPECT_EQ(cascade.full_computations(), 0);
-  cascade.ResetCounters();
-  EXPECT_EQ(cascade.kim_rejections(), 0);
 }
 
 }  // namespace

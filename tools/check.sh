@@ -70,18 +70,22 @@ build_and_test() {
 build_and_test "release" build-release -DCMAKE_BUILD_TYPE=Release
 
 # --- 1b. NN kernel bench smoke: the fused-GEMM fast path must run end to end
-# and emit valid JSON (full numbers are committed as BENCH_nn_kernels.json).
-# Runs twice: once on the host's best SIMD tier, once with DBAUGUR_SIMD=off so
-# the forced-scalar dispatch path stays exercised end to end.
+# and emit valid JSON (full numbers are committed as BENCH_nn_kernels.json);
+# python3 -m json.tool parses the output, and pipefail fails the stage on
+# either a bench failure or invalid JSON. Runs twice: once on the host's best
+# SIMD tier, once with DBAUGUR_SIMD=off so the forced-scalar dispatch path
+# stays exercised end to end.
 if [[ -x build-release/bench/nn_kernels ]]; then
   note "bench/nn_kernels --smoke (Release)"
-  if ./build-release/bench/nn_kernels --smoke > /dev/null; then
+  if ./build-release/bench/nn_kernels --smoke |
+      python3 -m json.tool > /dev/null; then
     record "nn_kernels-smoke" "OK"
   else
     record "nn_kernels-smoke" "FAIL"
   fi
   note "bench/nn_kernels --smoke (Release, DBAUGUR_SIMD=off)"
-  if DBAUGUR_SIMD=off ./build-release/bench/nn_kernels --smoke > /dev/null; then
+  if DBAUGUR_SIMD=off ./build-release/bench/nn_kernels --smoke |
+      python3 -m json.tool > /dev/null; then
     record "nn_kernels-smoke-scalar" "OK"
   else
     record "nn_kernels-smoke-scalar" "FAIL"
