@@ -1,10 +1,14 @@
 // WFGAN ablation (supports the §V design choices): temporal attention
 // on/off, adversarial training on/off, saturating (paper Eq. 5) vs
 // non-saturating generator loss, and single-task vs multi-task training on
-// correlated query + resource traces.
+// correlated query + resource traces. Exits 1 if any MSE it prints is not
+// finite (a diverged or broken training path).
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/table_printer.h"
@@ -15,6 +19,14 @@ using namespace dbaugur;
 using namespace dbaugur::bench;
 
 namespace {
+
+// Every MSE the tables print, so main can fail on a non-finite one.
+std::vector<double> printed_mses;
+
+std::string Mse(double mse, int digits) {
+  printed_mses.push_back(mse);
+  return TablePrinter::Fmt(mse, digits);
+}
 
 double ScoreVariant(const Dataset& ds, const models::ForecasterOptions& opts,
                     const models::WfganOptions& gopts) {
@@ -36,32 +48,32 @@ int main() {
   TablePrinter table({"variant", "test MSE"});
   {
     models::WfganOptions g;  // full model
-    table.AddRow({"full WFGAN", TablePrinter::Fmt(ScoreVariant(ali, opts, g), 6)});
+    table.AddRow({"full WFGAN", Mse(ScoreVariant(ali, opts, g), 6)});
   }
   {
     models::WfganOptions g;
     g.use_attention = false;
     table.AddRow({"- temporal attention (Eq. 2-3)",
-                  TablePrinter::Fmt(ScoreVariant(ali, opts, g), 6)});
+                  Mse(ScoreVariant(ali, opts, g), 6)});
   }
   {
     models::WfganOptions g;
     g.adversarial = false;
     table.AddRow({"- adversarial training (supervised only)",
-                  TablePrinter::Fmt(ScoreVariant(ali, opts, g), 6)});
+                  Mse(ScoreVariant(ali, opts, g), 6)});
   }
   {
     models::WfganOptions g;
     g.saturating_g_loss = true;
     table.AddRow({"saturating G loss (paper Eq. 5)",
-                  TablePrinter::Fmt(ScoreVariant(ali, opts, g), 6)});
+                  Mse(ScoreVariant(ali, opts, g), 6)});
   }
   {
     models::WfganOptions g;  // pure min-max game, no supervised term
     g.supervised_weight = 0.0;
     g.adversarial_weight = 1.0;
     table.AddRow({"pure adversarial (no supervised term)",
-                  TablePrinter::Fmt(ScoreVariant(ali, opts, g), 6)});
+                  Mse(ScoreVariant(ali, opts, g), 6)});
   }
   table.Print();
   std::printf(
@@ -108,15 +120,21 @@ int main() {
   double mtl_r = eval_task(models::WorkloadTask::kResource, res);
 
   TablePrinter mt({"training", "query MSE", "resource MSE"});
-  mt.AddRow({"single-task WFGAN x2", TablePrinter::Fmt(single_q, 2),
-             TablePrinter::Fmt(single_r, 5)});
-  mt.AddRow({"multi-task WFGAN (shared trunk)", TablePrinter::Fmt(mtl_q, 2),
-             TablePrinter::Fmt(mtl_r, 5)});
+  mt.AddRow({"single-task WFGAN x2", Mse(single_q, 2),
+             Mse(single_r, 5)});
+  mt.AddRow({"multi-task WFGAN (shared trunk)", Mse(mtl_q, 2),
+             Mse(mtl_r, 5)});
   mt.Print();
   std::printf(
       "\nExpected: attention and adversarial terms each help on the bursty\n"
       "trace; the saturating Eq. 5 loss is no better than non-saturating;\n"
       "multi-task training is competitive with (or better than) two\n"
       "independently trained models while sharing trunk parameters.\n");
+  for (double mse : printed_mses) {
+    if (!std::isfinite(mse)) {
+      std::fprintf(stderr, "ablation_wfgan: non-finite MSE %g\n", mse);
+      return 1;
+    }
+  }
   return 0;
 }

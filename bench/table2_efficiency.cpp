@@ -44,12 +44,11 @@ struct Row {
 
 // Times one training epoch after a warm-up epoch (so lazily-initialized
 // optimizer state doesn't pollute the measurement).
-template <typename Model>
-double TimeEpoch(Model& model, const Dataset& ds) {
+double TimeEpoch(models::NeuralForecaster& model, const Dataset& ds) {
   CheckOk(model.PrepareTraining(ds.train()), "prepare");
-  (void)model.TrainEpoch();  // warm-up
+  CheckOk(model.TrainEpoch(), "warm-up epoch");
   auto t0 = Clock::now();
-  (void)model.TrainEpoch();
+  CheckOk(model.TrainEpoch(), "epoch");
   return Seconds(t0, Clock::now());
 }
 
@@ -236,16 +235,8 @@ int main() {
   {
     Row r{"WFGAN"};
     models::WfganForecaster bus_m(opts), ali_m(opts);
-    CheckOk(bus_m.PrepareTraining(bus.train()), "prepare");
-    (void)bus_m.TrainEpoch();
-    auto t0 = Clock::now();
-    (void)bus_m.TrainEpoch();
-    r.epoch_bustracker = Seconds(t0, Clock::now());
-    CheckOk(ali_m.PrepareTraining(ali.train()), "prepare");
-    (void)ali_m.TrainEpoch();
-    t0 = Clock::now();
-    (void)ali_m.TrainEpoch();
-    r.epoch_alicluster = Seconds(t0, Clock::now());
+    r.epoch_bustracker = TimeEpoch(bus_m, bus);
+    r.epoch_alicluster = TimeEpoch(ali_m, ali);
     CheckOk(bus_m.Fit(bus.train()), "WFGAN fit");
     r.inference_ms = TimeInference(bus_m, bus);
     r.storage = bus_m.StorageBytes();

@@ -5,7 +5,6 @@
 #include "common/cancellation.h"
 #include "common/thread_pool.h"
 #include "ensemble/presets.h"
-#include "nn/gemm.h"
 
 namespace dbaugur::core {
 
@@ -20,17 +19,6 @@ Status DBAugurSystem::IngestQueryLog(
 
 void DBAugurSystem::AddResourceTrace(ts::Series series) {
   resource_traces_.push_back(std::move(series));
-}
-
-StatusOr<TrainedState> BuildTrainedState(
-    const DBAugurOptions& opts, const std::vector<ts::Series>& traces) {
-  return BuildTrainedState(opts, traces, nullptr);
-}
-
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool) {
-  return BuildTrainedState(opts, traces, fit_pool, nullptr);
 }
 
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
@@ -71,8 +59,6 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
   // Representatives are materialized serially; the independent per-cluster
   // ensemble fits then run on the clustering thread pool. Each ensemble is
   // seeded and self-contained, so results are identical at any lane count.
-  // The parallel path is skipped when a global GEMM pool is installed
-  // (ThreadPool::ParallelFor is not reentrant).
   std::vector<cluster::ClusterInfo> top = state.descender->TopKClusters(opts.top_k);
   state.forecasts.resize(top.size());
   for (size_t rank = 0; rank < top.size(); ++rank) {
@@ -102,7 +88,7 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
     if (cf.fit_status.ok()) cf.model = std::move(model).value();
   };
   size_t lanes = std::min(opts.clustering.threads, std::max<size_t>(top.size(), 1));
-  if (fit_pool != nullptr && nn::GetGemmThreadPool() == nullptr) {
+  if (fit_pool != nullptr) {
     // Caller-owned pool (one per retrain worker in the sharded service): the
     // spawn/join cost is amortized across every shard build on this worker.
     fit_pool->ParallelFor(top.size(), 1,
@@ -111,7 +97,7 @@ StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                               fit_one(rank);
                             }
                           });
-  } else if (lanes > 1 && nn::GetGemmThreadPool() == nullptr) {
+  } else if (lanes > 1) {
     ThreadPool pool(lanes);
     pool.ParallelFor(top.size(), 1,
                      [&](size_t begin, size_t end) {

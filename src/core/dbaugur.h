@@ -78,33 +78,26 @@ struct TrainedState {
 /// clusters with Descender, selects the top-K clusters by volume, and fits
 /// one DBAugur ensemble per cluster on the cluster's average trace. All
 /// traces must share one length (InvalidArgument otherwise).
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces);
-
-/// As above, but the independent per-cluster ensemble fits run on the
-/// caller-owned `fit_pool` instead of a pool constructed per call. The sharded
-/// serving layer passes one long-lived pool per retrain worker so concurrent
-/// shard builds don't each pay thread spawn/join. Null falls back to the
-/// default policy. Each ensemble is seeded and self-contained, so results are
-/// bit-identical at any lane count and on any pool. The parallel path is
-/// skipped when a global GEMM pool is installed (ThreadPool::ParallelFor is
-/// not reentrant, and the fits may run GEMMs on that pool).
-StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
-                                         const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool);
-
-/// As above, plus cooperative cancellation: `cancel` (may be null) is polled
-/// at cluster-fit granularity — before clustering, between clustering and the
-/// fits, and at the top of every per-cluster ensemble fit. When the token is
-/// observed latched the build returns Status::Cancelled (code kCancelled)
-/// carrying the token's reason; any fits already running finish their current
-/// cluster, later ranks are skipped, and no partial state escapes. The serve
-/// watchdog uses this to bound how long a hung or overrunning retrain can
-/// occupy a worker (see serve/retrain_workers.h).
+///
+/// The independent per-cluster ensemble fits run on the caller-owned
+/// `fit_pool` when one is given (the sharded serving layer passes one
+/// long-lived pool per retrain worker so concurrent shard builds don't each
+/// pay thread spawn/join), else on a pool of `opts.clustering.threads` lanes
+/// constructed per call. Each ensemble is seeded and self-contained, so
+/// results are bit-identical at any lane count and on any pool.
+///
+/// `cancel` (may be null) is polled at cluster-fit granularity — before
+/// clustering, between clustering and the fits, and at the top of every
+/// per-cluster ensemble fit. When the token is observed latched the build
+/// returns Status::Cancelled (code kCancelled) carrying the token's reason;
+/// any fits already running finish their current cluster, later ranks are
+/// skipped, and no partial state escapes. The serve watchdog uses this to
+/// bound how long a hung or overrunning retrain can occupy a worker (see
+/// serve/retrain_workers.h).
 StatusOr<TrainedState> BuildTrainedState(const DBAugurOptions& opts,
                                          const std::vector<ts::Series>& traces,
-                                         ThreadPool* fit_pool,
-                                         const CancelToken* cancel);
+                                         ThreadPool* fit_pool = nullptr,
+                                         const CancelToken* cancel = nullptr);
 
 /// Predicts the representative trace's next value (H steps past its end):
 /// the trailing `window` values feed the cluster's ensemble.

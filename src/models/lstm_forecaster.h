@@ -1,17 +1,13 @@
 // LSTM forecaster baseline (paper setup: input length 30, hidden/output
-// dimension 16, dense head producing the final value).
+// dimension 16, dense head producing the final value). Fit, Predict, the
+// checkpoint and the accounting come from NeuralForecaster.
 
 #pragma once
 
-#include <memory>
-
-#include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -20,39 +16,28 @@ struct LstmOptions {
   size_t hidden = 16;
 };
 
-class LstmForecaster : public Forecaster {
+class LstmForecaster : public NeuralForecaster {
  public:
   LstmForecaster(const ForecasterOptions& opts, const LstmOptions& lstm);
   explicit LstmForecaster(const ForecasterOptions& opts)
       : LstmForecaster(opts, LstmOptions{}) {}
-  ~LstmForecaster() override;
 
-  Status Fit(const std::vector<double>& series) override;
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "LSTM"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
-
-  Status PrepareTraining(const std::vector<double>& series);
-  Status TrainEpoch();
 
   /// Parameter tensors in layer order (lstm, head) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  std::vector<nn::Param> Params() const override;
 
  private:
-  struct Core;  // layers + optimizer + batch workspaces
+  Status RunEpoch() override;
+  double PredictScaled(const nn::Matrix& window) const override;
 
-  ForecasterOptions opts_;
-  LstmOptions lstm_opts_;
-  mutable Rng rng_;
-  std::unique_ptr<Core> core_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
-  bool fitted_ = false;
+  // Layers are mutable: forward passes cache activations even from const
+  // Predict.
+  mutable nn::LSTM lstm_;
+  mutable nn::Dense head_;
+  nn::Adam adam_;
+  nn::Matrix xb_, y_, grad_;  // batch workspaces
+  std::vector<nn::Matrix> xs_, grad_hs_;
 };
 
 }  // namespace dbaugur::models

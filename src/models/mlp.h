@@ -1,16 +1,12 @@
 // MLP forecaster (the paper's short-term "local view" model): two hidden
-// layers of 32 and 16 ReLU units over the raw condition window.
+// layers of 32 and 16 ReLU units over the raw condition window. Fit, Predict,
+// the checkpoint and the accounting come from NeuralForecaster.
 
 #pragma once
 
-#include <memory>
-
-#include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -20,41 +16,27 @@ struct MlpOptions {
   size_t hidden2 = 16;
 };
 
-class MlpForecaster : public Forecaster {
+class MlpForecaster : public NeuralForecaster {
  public:
   MlpForecaster(const ForecasterOptions& opts, const MlpOptions& mlp);
   explicit MlpForecaster(const ForecasterOptions& opts)
       : MlpForecaster(opts, MlpOptions{}) {}
-  ~MlpForecaster() override;
 
-  Status Fit(const std::vector<double>& series) override;
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "MLP"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
-
-  /// Runs exactly one training epoch (used by Table II timing); Fit must have
-  /// prepared the dataset via PrepareTraining or a prior Fit call.
-  Status PrepareTraining(const std::vector<double>& series);
-  Status TrainEpoch();
 
   /// Parameter tensors in layer order (l1, l2, l3) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  std::vector<nn::Param> Params() const override;
 
  private:
-  struct Core;  // layers + optimizer + batch workspaces
+  Status RunEpoch() override;
+  double PredictScaled(const nn::Matrix& window) const override;
+  const nn::Matrix& ForwardBatch(const nn::Matrix& x) const;
 
-  ForecasterOptions opts_;
-  MlpOptions mlp_;
-  mutable Rng rng_;
-  std::unique_ptr<Core> core_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
-  bool fitted_ = false;
+  // Layers are mutable: forward passes cache activations even from const
+  // Predict.
+  mutable nn::Dense l1_, l2_, l3_;
+  nn::Adam adam_;
+  nn::Matrix x_, y_, grad_;  // batch workspaces
 };
 
 }  // namespace dbaugur::models

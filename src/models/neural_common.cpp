@@ -19,22 +19,6 @@ StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
   return out;
 }
 
-nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count) {
-  nn::Matrix m;
-  BatchWindowsInto(samples, idx, begin, count, &m);
-  return m;
-}
-
-nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count) {
-  nn::Matrix m;
-  BatchTargetsInto(samples, idx, begin, count, &m);
-  return m;
-}
-
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out) {
@@ -56,12 +40,6 @@ void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
   }
 }
 
-std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch) {
-  std::vector<nn::Matrix> xs;
-  ToTimeMajorInto(batch, &xs);
-  return xs;
-}
-
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs) {
   xs->resize(batch.cols());
   for (size_t t = 0; t < batch.cols(); ++t) {
@@ -69,12 +47,6 @@ void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs) {
     x.Resize(batch.rows(), 1);
     for (size_t r = 0; r < batch.rows(); ++r) x(r, 0) = batch(r, t);
   }
-}
-
-nn::Tensor3 ToTensor3(const nn::Matrix& batch) {
-  nn::Tensor3 t;
-  ToTensor3Into(batch, &t);
-  return t;
 }
 
 void ToTensor3Into(const nn::Matrix& batch, nn::Tensor3* out) {
@@ -93,14 +65,29 @@ void CopySequenceWithTail(const std::vector<nn::Matrix>& xs,
   dst->back() = tail;
 }
 
-void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
-                          size_t hidden, std::vector<nn::Matrix>* dst) {
+void LastStepGradSequence(const nn::Matrix& dlast, size_t steps,
+                          std::vector<nn::Matrix>* dst) {
   dst->resize(steps);
   for (size_t t = 0; t + 1 < steps; ++t) {
-    (*dst)[t].Resize(batch, hidden);
+    (*dst)[t].Resize(dlast.rows(), dlast.cols());
     (*dst)[t].Fill(0.0);
   }
   dst->back() = dlast;
+}
+
+void AppendParams(std::vector<nn::Param>* params,
+                  const std::vector<nn::Param>& more) {
+  params->insert(params->end(), more.begin(), more.end());
+}
+
+int64_t CountParameters(const std::vector<nn::Param>& params) {
+  int64_t n = 0;
+  for (const nn::Param& p : params) n += static_cast<int64_t>(p.value->size());
+  return n;
+}
+
+void ZeroGrads(const std::vector<nn::Param>& params) {
+  for (const nn::Param& p : params) p.grad->Fill(0.0);
 }
 
 namespace {
@@ -166,6 +153,61 @@ Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
     }
   }
   return Status::OK();
+}
+
+Status NeuralForecaster::PrepareTraining(const std::vector<double>& series) {
+  auto ds = BuildScaledDataset(series, opts_);
+  if (!ds.ok()) return ds.status();
+  scaler_ = ds->scaler;
+  train_samples_ = std::move(ds->samples);
+  return Status::OK();
+}
+
+Status NeuralForecaster::TrainEpoch() {
+  if (train_samples_.empty()) {
+    return Status::FailedPrecondition(name() + ": PrepareTraining not called");
+  }
+  return RunEpoch();
+}
+
+Status NeuralForecaster::Fit(const std::vector<double>& series) {
+  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
+  for (size_t e = 0; e < opts_.epochs; ++e) {
+    DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
+  }
+  fitted_ = true;
+  return Status::OK();
+}
+
+StatusOr<double> NeuralForecaster::Predict(
+    const std::vector<double>& window) const {
+  if (!fitted_) return Status::FailedPrecondition(name() + ": Fit not called");
+  if (window.size() != opts_.window) {
+    return Status::InvalidArgument(name() + ": window size mismatch");
+  }
+  nn::Matrix x(1, window.size());
+  for (size_t j = 0; j < window.size(); ++j) {
+    x(0, j) = scaler_.Transform(window[j]);
+  }
+  return scaler_.Inverse(PredictScaled(x));
+}
+
+StatusOr<std::vector<uint8_t>> NeuralForecaster::SaveState() const {
+  return SerializeNeuralState({&scaler_}, Params());
+}
+
+Status NeuralForecaster::LoadState(const std::vector<uint8_t>& buffer) {
+  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
+  fitted_ = true;
+  return Status::OK();
+}
+
+int64_t NeuralForecaster::StorageBytes() const {
+  return nn::StorageBytes(Params());
+}
+
+int64_t NeuralForecaster::ParameterCount() const {
+  return CountParameters(Params());
 }
 
 }  // namespace dbaugur::models

@@ -1,10 +1,13 @@
-// Shared plumbing for the neural forecasters: min-max-scaled sliding-window
-// datasets and batch assembly in the layouts the nn substrate expects.
+// Shared plumbing for the neural forecasters: the NeuralForecaster base
+// (fit / predict / state / accounting written once for MLP, LSTM, TCN and
+// WFGAN), min-max-scaled sliding-window datasets, and batch assembly in the
+// layouts the nn substrate expects.
 
 #pragma once
 
 #include <vector>
 
+#include "common/rng.h"
 #include "models/forecaster.h"
 #include "nn/layer.h"
 #include "nn/matrix.h"
@@ -23,41 +26,25 @@ struct ScaledDataset {
 StatusOr<ScaledDataset> BuildScaledDataset(const std::vector<double>& series,
                                            const ForecasterOptions& opts);
 
-/// Packs selected samples' windows into a [batch, T] matrix.
-nn::Matrix BatchWindows(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count);
+// Batch assembly into caller-held workspaces, so training loops hold one
+// batch buffer across all batches of an epoch instead of reallocating.
 
-/// Packs selected samples' targets into a [batch, 1] matrix.
-nn::Matrix BatchTargets(const std::vector<ts::WindowSample>& samples,
-                        const std::vector<size_t>& idx, size_t begin,
-                        size_t count);
-
-// Into-variants reuse the destination's buffer so training loops can hold one
-// batch workspace across all batches of an epoch instead of reallocating.
-
-/// BatchWindows writing into an existing matrix.
+/// Packs selected samples' windows into a [count, T] matrix.
 void BatchWindowsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
 
-/// BatchTargets writing into an existing matrix.
+/// Packs selected samples' targets into a [count, 1] matrix.
 void BatchTargetsInto(const std::vector<ts::WindowSample>& samples,
                       const std::vector<size_t>& idx, size_t begin,
                       size_t count, nn::Matrix* out);
 
 /// Converts a [batch, T] matrix into a time-major sequence of [batch, 1]
-/// matrices for recurrent layers.
-std::vector<nn::Matrix> ToTimeMajor(const nn::Matrix& batch);
-
-/// ToTimeMajor writing into an existing sequence (per-step buffers reused).
+/// matrices for recurrent layers (per-step buffers reused).
 void ToTimeMajorInto(const nn::Matrix& batch, std::vector<nn::Matrix>* xs);
 
 /// Converts a [batch, T] matrix into a [batch, 1 channel, T] tensor for
 /// convolutional layers.
-nn::Tensor3 ToTensor3(const nn::Matrix& batch);
-
-/// ToTensor3 writing into an existing tensor.
 void ToTensor3Into(const nn::Matrix& batch, nn::Tensor3* out);
 
 /// dst = xs ++ [tail], reusing dst's buffers (a plain `dst = xs;
@@ -67,10 +54,21 @@ void CopySequenceWithTail(const std::vector<nn::Matrix>& xs,
                           const nn::Matrix& tail,
                           std::vector<nn::Matrix>* dst);
 
-/// Zero gradient sequence with only the last step set to `dlast`
-/// (no-attention ablation path of the WFGAN backward).
-void LastStepGradSequence(const nn::Matrix& dlast, size_t steps, size_t batch,
-                          size_t hidden, std::vector<nn::Matrix>* dst);
+/// Length-`steps` gradient sequence that is zero except for its last step,
+/// `dlast` (the recurrent models' backward from a head that reads the last
+/// hidden state).
+void LastStepGradSequence(const nn::Matrix& dlast, size_t steps,
+                          std::vector<nn::Matrix>* dst);
+
+/// Appends `more` to `*params` (builds a model's layer-ordered Params()).
+void AppendParams(std::vector<nn::Param>* params,
+                  const std::vector<nn::Param>& more);
+
+/// Number of trainable scalars in `params`.
+int64_t CountParameters(const std::vector<nn::Param>& params);
+
+/// Resets every gradient accumulator in `params` to zero.
+void ZeroGrads(const std::vector<nn::Param>& params);
 
 // --- Model state (scalers + weights) for snapshot persistence. -------------
 //
@@ -91,5 +89,52 @@ std::vector<uint8_t> SerializeNeuralState(
 Status DeserializeNeuralState(const std::vector<uint8_t>& buffer,
                               const std::vector<ts::MinMaxScaler*>& scalers,
                               std::vector<nn::Param> params);
+
+/// Base of the single-series neural forecasters. It owns the options, the
+/// seeded RNG (drawn by the subclass's layer constructors, in member order,
+/// and then by each epoch's batch permutation), the min-max scaler and the
+/// scaled training windows, and implements everything that does not depend on
+/// the network: Fit (PrepareTraining, then `epochs` TrainEpoch calls),
+/// Predict (guards, scaling, PredictScaled, inverse scaling), the
+/// SerializeNeuralState({scaler}, Params()) checkpoint, and the size
+/// accounting. A subclass supplies its layers, Params(), RunEpoch(),
+/// PredictScaled() and name().
+class NeuralForecaster : public Forecaster {
+ public:
+  Status Fit(const std::vector<double>& series) override;
+  StatusOr<double> Predict(const std::vector<double>& window) const override;
+  int64_t StorageBytes() const override;
+  int64_t ParameterCount() const override;
+  StatusOr<std::vector<uint8_t>> SaveState() const override;
+  Status LoadState(const std::vector<uint8_t>& buffer) override;
+
+  /// Fits the scaler on `series` and builds the scaled training windows (the
+  /// first step of Fit; Table II timing calls it once, then TrainEpoch).
+  Status PrepareTraining(const std::vector<double>& series);
+
+  /// Runs exactly one training epoch over the prepared windows.
+  /// FailedPrecondition before PrepareTraining.
+  Status TrainEpoch();
+
+  /// Parameter tensors in layer order: the SaveState layout.
+  virtual std::vector<nn::Param> Params() const = 0;
+
+ protected:
+  explicit NeuralForecaster(const ForecasterOptions& opts)
+      : opts_(opts), rng_(opts.seed) {}
+
+  /// One pass over train_samples_ (non-empty) in rng_-permuted minibatches.
+  virtual Status RunEpoch() = 0;
+
+  /// The scaled-space forecast for one scaled condition window, given as a
+  /// [1, T] row.
+  virtual double PredictScaled(const nn::Matrix& window) const = 0;
+
+  ForecasterOptions opts_;
+  Rng rng_;
+  ts::MinMaxScaler scaler_;
+  std::vector<ts::WindowSample> train_samples_;
+  bool fitted_ = false;
+};
 
 }  // namespace dbaugur::models

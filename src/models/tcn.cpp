@@ -1,18 +1,18 @@
 #include "models/tcn.h"
 
-#include "models/neural_common.h"
+#include <algorithm>
+
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
 TcnForecaster::TcnForecaster(const ForecasterOptions& opts,
                              const TcnOptions& tcn)
-    : opts_(opts),
+    : NeuralForecaster(opts),
       tcn_opts_(tcn),
-      rng_(opts.seed),
       head_(tcn.channels, 1, nn::Activation::kIdentity, &rng_),
       adam_(opts.learning_rate) {
+  // The head draws its weights before the blocks (checkpoint RNG order).
   size_t in_ch = 1;
   for (size_t d : tcn_opts_.dilations) {
     blocks_.push_back(std::make_unique<nn::TCNBlock>(
@@ -29,73 +29,14 @@ size_t TcnForecaster::ReceptiveField() const {
 
 std::vector<nn::Param> TcnForecaster::Params() const {
   std::vector<nn::Param> params;
-  for (auto& b : blocks_) {
-    for (auto& p : b->Params()) params.push_back(p);
-  }
-  for (auto& p : head_.Params()) params.push_back(p);
+  for (auto& b : blocks_) AppendParams(&params, b->Params());
+  AppendParams(&params, head_.Params());
   return params;
-}
-
-Status TcnForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
-}
-
-Status TcnForecaster::TrainEpoch() {
-  if (train_samples_.empty()) {
-    return Status::FailedPrecondition("TCN: PrepareTraining not called");
-  }
-  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
-  std::vector<nn::Param> params = Params();
-  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
-    size_t count = std::min(opts_.batch_size, order.size() - begin);
-    BatchWindowsInto(train_samples_, order, begin, count, &xb_);
-    BatchTargetsInto(train_samples_, order, begin, count, &y_);
-    ToTensor3Into(xb_, &t_in_);
-    // Chain block workspaces by reference; each block owns its output.
-    const nn::Tensor3* t = &t_in_;
-    for (auto& b : blocks_) t = &b->Forward(*t);
-    // Head reads the final time step across channels.
-    size_t last = t->time() - 1;
-    feats_.Resize(count, tcn_opts_.channels);
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t c = 0; c < tcn_opts_.channels; ++c) {
-        feats_(r, c) = (*t)(r, c, last);
-      }
-    }
-    const nn::Matrix& pred = head_.Forward(feats_);
-    nn::MSELoss(pred, y_, &grad_);
-    for (auto& p : params) p.grad->Fill(0.0);
-    const nn::Matrix& dfeats = head_.Backward(grad_);
-    dt_.Resize(count, tcn_opts_.channels, t->time());
-    dt_.Fill(0.0);
-    for (size_t r = 0; r < count; ++r) {
-      for (size_t c = 0; c < tcn_opts_.channels; ++c) {
-        dt_(r, c, last) = dfeats(r, c);
-      }
-    }
-    const nn::Tensor3* dt = &dt_;
-    for (size_t b = blocks_.size(); b-- > 0;) dt = &blocks_[b]->Backward(*dt);
-    nn::ClipGradNorm(params, opts_.grad_clip);
-    adam_.Step(params);
-  }
-  return Status::OK();
-}
-
-Status TcnForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    DBAUGUR_RETURN_IF_ERROR(TrainEpoch());
-  }
-  fitted_ = true;
-  return Status::OK();
 }
 
 const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {
   ToTensor3Into(xb, &t_in_);
+  // Chain block workspaces by reference; each block owns its output.
   const nn::Tensor3* t = &t_in_;
   for (auto& b : blocks_) t = &b->Forward(*t);
   size_t last = t->time() - 1;
@@ -108,38 +49,36 @@ const nn::Matrix& TcnForecaster::ForwardBatch(const nn::Matrix& xb) const {
   return head_.Forward(feats_);
 }
 
-StatusOr<double> TcnForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("TCN: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("TCN: window size mismatch");
+Status TcnForecaster::RunEpoch() {
+  std::vector<size_t> order = rng_.Permutation(train_samples_.size());
+  std::vector<nn::Param> params = Params();
+  for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
+    size_t count = std::min(opts_.batch_size, order.size() - begin);
+    BatchWindowsInto(train_samples_, order, begin, count, &xb_);
+    BatchTargetsInto(train_samples_, order, begin, count, &y_);
+    nn::MSELoss(ForwardBatch(xb_), y_, &grad_);
+    ZeroGrads(params);
+    // The head read only the last time step, so only it gets gradient
+    // (causal convolutions keep the window's length).
+    const nn::Matrix& dfeats = head_.Backward(grad_);
+    const size_t time = t_in_.time();
+    dt_.Resize(count, tcn_opts_.channels, time);
+    dt_.Fill(0.0);
+    for (size_t r = 0; r < count; ++r) {
+      for (size_t c = 0; c < tcn_opts_.channels; ++c) {
+        dt_(r, c, time - 1) = dfeats(r, c);
+      }
+    }
+    const nn::Tensor3* dt = &dt_;
+    for (size_t b = blocks_.size(); b-- > 0;) dt = &blocks_[b]->Backward(*dt);
+    nn::ClipGradNorm(params, opts_.grad_clip);
+    adam_.Step(params);
   }
-  nn::Matrix x(1, opts_.window);
-  for (size_t j = 0; j < window.size(); ++j) {
-    x(0, j) = scaler_.Transform(window[j]);
-  }
-  const nn::Matrix& pred = ForwardBatch(x);
-  return scaler_.Inverse(pred(0, 0));
-}
-
-StatusOr<std::vector<uint8_t>> TcnForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status TcnForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
   return Status::OK();
 }
 
-int64_t TcnForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t TcnForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : Params()) n += static_cast<int64_t>(p.value->size());
-  return n;
+double TcnForecaster::PredictScaled(const nn::Matrix& window) const {
+  return ForwardBatch(window)(0, 0);
 }
 
 }  // namespace dbaugur::models

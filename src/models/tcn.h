@@ -1,19 +1,17 @@
 // Temporal Convolutional Network forecaster (paper setup: five residual
 // levels with dilation factors 1, 2, 4, 8, 16) — the ensemble's long-term
-// "global view" member.
+// "global view" member. Fit, Predict, the checkpoint and the accounting come
+// from NeuralForecaster.
 
 #pragma once
 
 #include <memory>
 #include <vector>
 
-#include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/conv1d.h"
 #include "nn/dense.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -24,46 +22,35 @@ struct TcnOptions {
   std::vector<size_t> dilations = {1, 2, 4, 8, 16};
 };
 
-class TcnForecaster : public Forecaster {
+class TcnForecaster : public NeuralForecaster {
  public:
   TcnForecaster(const ForecasterOptions& opts, const TcnOptions& tcn);
   explicit TcnForecaster(const ForecasterOptions& opts)
       : TcnForecaster(opts, TcnOptions{}) {}
 
-  Status Fit(const std::vector<double>& series) override;
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "TCN"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
-
-  Status PrepareTraining(const std::vector<double>& series);
-  Status TrainEpoch();
 
   /// Receptive field in time steps: 1 + (k-1) * 2 * sum(dilations).
   size_t ReceptiveField() const;
 
   /// Parameter tensors in layer order (blocks, head) — used by serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of weights + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  std::vector<nn::Param> Params() const override;
 
  private:
+  Status RunEpoch() override;
+  double PredictScaled(const nn::Matrix& window) const override;
+  /// Blocks, then the head on the last time step's channels.
   const nn::Matrix& ForwardBatch(const nn::Matrix& xb) const;
 
-  ForecasterOptions opts_;
   TcnOptions tcn_opts_;
-  mutable Rng rng_;
+  // Layers are mutable: forward passes cache activations even from const
+  // Predict.
   mutable std::vector<std::unique_ptr<nn::TCNBlock>> blocks_;
   mutable nn::Dense head_;
   nn::Adam adam_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
   // Batch workspaces reused across batches (mutable: Predict is const).
   mutable nn::Matrix xb_, y_, grad_, feats_;
   mutable nn::Tensor3 t_in_, dt_;
-  bool fitted_ = false;
 };
 
 }  // namespace dbaugur::models

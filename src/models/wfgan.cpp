@@ -1,161 +1,160 @@
 #include "models/wfgan.h"
 
-#include <cmath>
+#include <algorithm>
 
 #include "common/math_utils.h"
-#include "models/neural_common.h"
 #include "nn/loss.h"
-#include "nn/serialize.h"
 
 namespace dbaugur::models {
 
-WfganForecaster::WfganForecaster(const ForecasterOptions& opts,
-                                 const WfganOptions& gan)
-    : opts_(opts),
-      gan_(gan),
-      rng_(opts.seed),
-      g_lstm_(1, gan.hidden, &rng_),
-      g_attn_(gan.hidden, gan.attn_dim, &rng_),
-      g_head_(gan.hidden, 1, nn::Activation::kIdentity, &rng_),
-      d_lstm_(1, gan.hidden, &rng_),
-      d_attn_(gan.hidden, gan.attn_dim, &rng_),
-      d_head_(gan.hidden, 1, nn::Activation::kIdentity, &rng_),
-      g_adam_(opts.learning_rate),
+WfganTask::WfganTask(const ForecasterOptions& opts, const WfganOptions& gan,
+                     Rng* rng)
+    : gan_(gan),
+      grad_clip_(opts.grad_clip),
+      attn_(gan.hidden, gan.attn_dim, rng),
+      head_(gan.hidden, 1, nn::Activation::kIdentity, rng),
+      d_lstm_(1, gan.hidden, rng),
+      d_attn_(gan.hidden, gan.attn_dim, rng),
+      d_head_(gan.hidden, 1, nn::Activation::kIdentity, rng),
       d_adam_(opts.learning_rate) {}
 
-std::vector<nn::Param> WfganForecaster::GeneratorParams() const {
-  std::vector<nn::Param> params = g_lstm_.Params();
-  if (gan_.use_attention) {
-    for (auto& p : g_attn_.Params()) params.push_back(p);
-  }
-  for (auto& p : g_head_.Params()) params.push_back(p);
+std::vector<nn::Param> WfganTask::GeneratorParams() {
+  std::vector<nn::Param> params;
+  if (gan_.use_attention) AppendParams(&params, attn_.Params());
+  AppendParams(&params, head_.Params());
   return params;
 }
 
-std::vector<nn::Param> WfganForecaster::DiscriminatorParams() const {
+std::vector<nn::Param> WfganTask::DiscriminatorParams() {
   std::vector<nn::Param> params = d_lstm_.Params();
-  if (gan_.use_attention) {
-    for (auto& p : d_attn_.Params()) params.push_back(p);
-  }
-  for (auto& p : d_head_.Params()) params.push_back(p);
+  if (gan_.use_attention) AppendParams(&params, d_attn_.Params());
+  AppendParams(&params, d_head_.Params());
   return params;
 }
 
-const nn::Matrix& WfganForecaster::GeneratorForward(
-    const std::vector<nn::Matrix>& xs) const {
-  const std::vector<nn::Matrix>& hs = g_lstm_.ForwardSequence(xs);
-  const nn::Matrix& context =
-      gan_.use_attention ? g_attn_.Forward(hs) : hs.back();
-  return g_head_.Forward(context);
+std::vector<nn::Param> WfganTask::Params() {
+  std::vector<nn::Param> params = GeneratorParams();
+  AppendParams(&params, DiscriminatorParams());
+  return params;
 }
 
-void WfganForecaster::GeneratorBackward(const nn::Matrix& grad_pred,
-                                        size_t steps, size_t batch) const {
-  const nn::Matrix& dcontext = g_head_.Backward(grad_pred);
+const nn::Matrix& WfganTask::GeneratorForward(
+    nn::LSTM& trunk, const std::vector<nn::Matrix>& xs) {
+  const std::vector<nn::Matrix>& hs = trunk.ForwardSequence(xs);
+  return head_.Forward(gan_.use_attention ? attn_.Forward(hs) : hs.back());
+}
+
+void WfganTask::GeneratorBackward(nn::LSTM& trunk, const nn::Matrix& grad_pred,
+                                  size_t steps) {
+  const nn::Matrix& dcontext = head_.Backward(grad_pred);
   if (gan_.use_attention) {
-    g_lstm_.BackwardSequence(g_attn_.Backward(dcontext));
+    trunk.BackwardSequence(attn_.Backward(dcontext));
   } else {
-    LastStepGradSequence(dcontext, steps, batch, gan_.hidden, &g_grad_hs_);
-    g_lstm_.BackwardSequence(g_grad_hs_);
+    LastStepGradSequence(dcontext, steps, &g_grad_hs_);
+    trunk.BackwardSequence(g_grad_hs_);
   }
 }
 
-const nn::Matrix& WfganForecaster::DiscriminatorForward(
-    const std::vector<nn::Matrix>& xs) const {
+const nn::Matrix& WfganTask::DiscriminatorForward(
+    const std::vector<nn::Matrix>& xs) {
   const std::vector<nn::Matrix>& hs = d_lstm_.ForwardSequence(xs);
-  const nn::Matrix& context =
-      gan_.use_attention ? d_attn_.Forward(hs) : hs.back();
-  return d_head_.Forward(context);
+  return d_head_.Forward(gan_.use_attention ? d_attn_.Forward(hs) : hs.back());
 }
 
-const std::vector<nn::Matrix>& WfganForecaster::DiscriminatorBackward(
-    const nn::Matrix& grad_logit, size_t steps, size_t batch) const {
+const std::vector<nn::Matrix>& WfganTask::DiscriminatorBackward(
+    const nn::Matrix& grad_logit, size_t steps) {
   const nn::Matrix& dcontext = d_head_.Backward(grad_logit);
   if (gan_.use_attention) {
     return d_lstm_.BackwardSequence(d_attn_.Backward(dcontext));
   }
-  LastStepGradSequence(dcontext, steps, batch, gan_.hidden, &d_grad_hs_);
+  LastStepGradSequence(dcontext, steps, &d_grad_hs_);
   return d_lstm_.BackwardSequence(d_grad_hs_);
 }
 
-Status WfganForecaster::PrepareTraining(const std::vector<double>& series) {
-  auto ds = BuildScaledDataset(series, opts_);
-  if (!ds.ok()) return ds.status();
-  scaler_ = ds->scaler;
-  train_samples_ = std::move(ds->samples);
-  return Status::OK();
+void WfganTask::DiscriminatorSteps(nn::LSTM& trunk,
+                                   const std::vector<nn::Matrix>& xs,
+                                   const nn::Matrix& y,
+                                   WfganEpochStats* stats) {
+  const size_t count = y.rows();
+  // The fake forecasts are computed once and detached: no generator backward.
+  const nn::Matrix& fake = GeneratorForward(trunk, xs);
+  CopySequenceWithTail(xs, y, &xs_real_);
+  CopySequenceWithTail(xs, fake, &xs_fake_);
+  real_labels_.Resize(count, 1);
+  real_labels_.Fill(gan_.real_label);
+  fake_labels_.Resize(count, 1);
+  fake_labels_.Fill(0.0);
+  std::vector<nn::Param> dparams = DiscriminatorParams();
+  for (size_t s = 0; s < gan_.d_steps; ++s) {
+    ZeroGrads(dparams);
+    double loss_real = nn::BCEWithLogitsLoss(DiscriminatorForward(xs_real_),
+                                             real_labels_, &grad_real_);
+    DiscriminatorBackward(grad_real_, xs_real_.size());
+    double loss_fake = nn::BCEWithLogitsLoss(DiscriminatorForward(xs_fake_),
+                                             fake_labels_, &grad_fake_);
+    DiscriminatorBackward(grad_fake_, xs_fake_.size());
+    nn::ClipGradNorm(dparams, grad_clip_);
+    d_adam_.Step(dparams);
+    stats->d_loss += loss_real + loss_fake;
+  }
 }
 
-StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
-  if (train_samples_.empty()) {
-    return Status::FailedPrecondition("WFGAN: PrepareTraining not called");
+void WfganTask::GeneratorGradient(nn::LSTM& trunk,
+                                  const std::vector<nn::Matrix>& xs,
+                                  const nn::Matrix& y,
+                                  WfganEpochStats* stats) {
+  const nn::Matrix& fake = GeneratorForward(trunk, xs);
+  grad_pred_.Resize(y.rows(), 1);
+  grad_pred_.Fill(0.0);
+  stats->g_mse += nn::MSELoss(fake, y, &mse_grad_);
+  grad_pred_.AddScaled(mse_grad_, gan_.supervised_weight);
+  if (gan_.adversarial) {
+    // dLoss/dForecast flows back through the discriminator's input; the
+    // discriminator's own parameter gradients from this pass are discarded.
+    CopySequenceWithTail(xs, fake, &xs_fake_);
+    const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_);
+    stats->g_adv +=
+        gan_.saturating_g_loss
+            ? nn::GeneratorGanLossSaturating(fake_logits, &grad_logit_)
+            : nn::GeneratorGanLoss(fake_logits, &grad_logit_);
+    const std::vector<nn::Matrix>& dxs =
+        DiscriminatorBackward(grad_logit_, xs_fake_.size());
+    grad_pred_.AddScaled(dxs.back(), gan_.adversarial_weight);
+    ZeroGrads(DiscriminatorParams());
   }
+  GeneratorBackward(trunk, grad_pred_, xs.size());
+}
+
+WfganForecaster::WfganForecaster(const ForecasterOptions& opts,
+                                 const WfganOptions& gan)
+    : NeuralForecaster(opts),
+      gan_(gan),
+      trunk_(1, gan.hidden, &rng_),
+      task_(opts, gan, &rng_),
+      g_adam_(opts.learning_rate) {}
+
+std::vector<nn::Param> WfganForecaster::Params() const {
+  std::vector<nn::Param> params = trunk_.Params();
+  AppendParams(&params, task_.Params());
+  return params;
+}
+
+Status WfganForecaster::RunEpoch() {
   std::vector<size_t> order = rng_.Permutation(train_samples_.size());
-  std::vector<nn::Param> gparams = GeneratorParams();
-  std::vector<nn::Param> dparams = DiscriminatorParams();
-  auto zero = [](std::vector<nn::Param>& ps) {
-    for (auto& p : ps) p.grad->Fill(0.0);
-  };
+  std::vector<nn::Param> gparams = trunk_.Params();
+  AppendParams(&gparams, task_.GeneratorParams());
   WfganEpochStats stats;
   size_t batches = 0;
+  // Every window trains once per epoch, the last minibatch possibly partial.
   for (size_t begin = 0; begin < order.size(); begin += opts_.batch_size) {
     size_t count = std::min(opts_.batch_size, order.size() - begin);
     BatchWindowsInto(train_samples_, order, begin, count, &xb_);
     BatchTargetsInto(train_samples_, order, begin, count, &y_);
     ToTimeMajorInto(xb_, &xs_);
-
-    if (gan_.adversarial) {
-      // --- D-steps (Algorithm 2, lines 5-7): fake forecasts are detached.
-      const nn::Matrix& fake = GeneratorForward(xs_);
-      CopySequenceWithTail(xs_, y_, &xs_real_);
-      CopySequenceWithTail(xs_, fake, &xs_fake_);
-      real_labels_.Resize(count, 1);
-      real_labels_.Fill(gan_.real_label);
-      fake_labels_.Resize(count, 1);
-      fake_labels_.Fill(0.0);
-      for (size_t s = 0; s < gan_.d_steps; ++s) {
-        zero(dparams);
-        const nn::Matrix& real_logits = DiscriminatorForward(xs_real_);
-        double loss_real =
-            nn::BCEWithLogitsLoss(real_logits, real_labels_, &grad_real_);
-        DiscriminatorBackward(grad_real_, xs_real_.size(), count);
-        const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_);
-        double loss_fake =
-            nn::BCEWithLogitsLoss(fake_logits, fake_labels_, &grad_fake_);
-        DiscriminatorBackward(grad_fake_, xs_fake_.size(), count);
-        nn::ClipGradNorm(dparams, opts_.grad_clip);
-        d_adam_.Step(dparams);
-        stats.d_loss += loss_real + loss_fake;
-      }
-    }
-
-    // --- G-steps (Algorithm 2, lines 8-10) plus the supervised MSE term.
+    if (gan_.adversarial) task_.DiscriminatorSteps(trunk_, xs_, y_, &stats);
     for (size_t s = 0; s < gan_.g_steps; ++s) {
-      zero(gparams);
-      const nn::Matrix& fake = GeneratorForward(xs_);
-      grad_pred_.Resize(count, 1);
-      grad_pred_.Fill(0.0);
-
-      double mse = nn::MSELoss(fake, y_, &mse_grad_);
-      grad_pred_.AddScaled(mse_grad_, gan_.supervised_weight);
-      stats.g_mse += mse;
-
-      if (gan_.adversarial) {
-        CopySequenceWithTail(xs_, fake, &xs_fake_);
-        zero(dparams);  // D grads from this pass are discarded below.
-        const nn::Matrix& fake_logits = DiscriminatorForward(xs_fake_);
-        double adv =
-            gan_.saturating_g_loss
-                ? nn::GeneratorGanLossSaturating(fake_logits, &grad_logit_)
-                : nn::GeneratorGanLoss(fake_logits, &grad_logit_);
-        stats.g_adv += adv;
-        const std::vector<nn::Matrix>& dxs =
-            DiscriminatorBackward(grad_logit_, xs_fake_.size(), count);
-        grad_pred_.AddScaled(dxs.back(), gan_.adversarial_weight);
-        zero(dparams);
-      }
-
-      GeneratorBackward(grad_pred_, xs_.size(), count);
+      ZeroGrads(gparams);
+      task_.GeneratorGradient(trunk_, xs_, y_, &stats);
       nn::ClipGradNorm(gparams, opts_.grad_clip);
       g_adam_.Step(gparams);
     }
@@ -167,31 +166,13 @@ StatusOr<WfganEpochStats> WfganForecaster::TrainEpoch() {
     stats.g_mse /= static_cast<double>(batches * gan_.g_steps);
   }
   last_stats_ = stats;
-  return stats;
-}
-
-Status WfganForecaster::Fit(const std::vector<double>& series) {
-  DBAUGUR_RETURN_IF_ERROR(PrepareTraining(series));
-  for (size_t e = 0; e < opts_.epochs; ++e) {
-    auto st = TrainEpoch();
-    if (!st.ok()) return st.status();
-  }
-  fitted_ = true;
   return Status::OK();
 }
 
-StatusOr<double> WfganForecaster::Predict(
-    const std::vector<double>& window) const {
-  if (!fitted_) return Status::FailedPrecondition("WFGAN: Fit not called");
-  if (window.size() != opts_.window) {
-    return Status::InvalidArgument("WFGAN: window size mismatch");
-  }
-  std::vector<nn::Matrix> xs(window.size(), nn::Matrix(1, 1));
-  for (size_t t = 0; t < window.size(); ++t) {
-    xs[t](0, 0) = scaler_.Transform(window[t]);
-  }
-  const nn::Matrix& pred = GeneratorForward(xs);
-  return scaler_.Inverse(pred(0, 0));
+double WfganForecaster::PredictScaled(const nn::Matrix& window) const {
+  std::vector<nn::Matrix> xs;
+  ToTimeMajorInto(window, &xs);
+  return task_.GeneratorForward(trunk_, xs)(0, 0);
 }
 
 StatusOr<double> WfganForecaster::DiscriminatorScore(
@@ -205,37 +186,7 @@ StatusOr<double> WfganForecaster::DiscriminatorScore(
     xs[t](0, 0) = scaler_.Transform(window[t]);
   }
   xs.back()(0, 0) = scaler_.Transform(value);
-  const nn::Matrix& logit = DiscriminatorForward(xs);
-  return Sigmoid(logit(0, 0));
-}
-
-std::vector<nn::Param> WfganForecaster::Params() const {
-  std::vector<nn::Param> params = GeneratorParams();
-  for (auto& p : DiscriminatorParams()) params.push_back(p);
-  return params;
-}
-
-StatusOr<std::vector<uint8_t>> WfganForecaster::SaveState() const {
-  return SerializeNeuralState({&scaler_}, Params());
-}
-
-Status WfganForecaster::LoadState(const std::vector<uint8_t>& buffer) {
-  DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(buffer, {&scaler_}, Params()));
-  fitted_ = true;
-  return Status::OK();
-}
-
-int64_t WfganForecaster::StorageBytes() const {
-  return nn::StorageBytes(Params());
-}
-
-int64_t WfganForecaster::ParameterCount() const {
-  int64_t n = 0;
-  for (auto& p : GeneratorParams()) n += static_cast<int64_t>(p.value->size());
-  for (auto& p : DiscriminatorParams()) {
-    n += static_cast<int64_t>(p.value->size());
-  }
-  return n;
+  return Sigmoid(task_.DiscriminatorForward(xs)(0, 0));
 }
 
 }  // namespace dbaugur::models

@@ -7,6 +7,12 @@
 // attention layer (paper Eq. 2-3) and a dense head. Training alternates
 // D-steps and G-steps per the paper's Algorithm 2.
 //
+// The GAN lives in WfganTask: the generator's attention and head on top of
+// an LSTM trunk the task does not own, the discriminator, and the D-step and
+// generator-gradient passes. WfganForecaster is one trunk plus one task;
+// MultiTaskWfgan (wfgan_multitask.h) shares one trunk between two tasks. Fit,
+// Predict, the checkpoint and the accounting come from NeuralForecaster.
+//
 // Two deliberate implementation choices beyond the paper's text, both
 // standard for forecasting GANs and both exposed for ablation:
 //  * the generator objective adds a supervised MSE term
@@ -18,16 +24,13 @@
 
 #pragma once
 
-#include <memory>
+#include <vector>
 
-#include "common/rng.h"
-#include "models/forecaster.h"
+#include "models/neural_common.h"
 #include "nn/attention.h"
 #include "nn/dense.h"
 #include "nn/lstm.h"
 #include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -52,20 +55,78 @@ struct WfganEpochStats {
   double g_mse = 0.0;    ///< Mean generator supervised MSE (scaled space).
 };
 
-class WfganForecaster : public Forecaster {
+/// One WFGAN task network over a caller-owned generator LSTM trunk: the
+/// generator's temporal attention and dense head, the conditional
+/// discriminator (LSTM, attention, dense head) scoring length-(T+1)
+/// sequences, and the discriminator's Adam. Its layers draw from `rng` in the
+/// order attn, head, d_lstm, d_attn, d_head. Sequences are time-major lists
+/// of [batch, 1] matrices in scaled space; returned references are
+/// layer-owned workspaces, valid until the next call.
+class WfganTask {
+ public:
+  WfganTask(const ForecasterOptions& opts, const WfganOptions& gan, Rng* rng);
+
+  /// Generator forward: trunk, then attention (or the last hidden state when
+  /// attention is ablated), then the head. Returns [batch, 1] forecasts.
+  const nn::Matrix& GeneratorForward(nn::LSTM& trunk,
+                                     const std::vector<nn::Matrix>& xs);
+
+  /// Discriminator forward on a length-(T+1) sequence; returns [batch, 1]
+  /// logits.
+  const nn::Matrix& DiscriminatorForward(const std::vector<nn::Matrix>& xs);
+
+  /// Algorithm 2, lines 5-7: `d_steps` discriminator updates on one
+  /// minibatch, real X ∘ y against the detached fake X ∘ G(X). Adds each
+  /// step's BCE (real + fake) to stats->d_loss.
+  void DiscriminatorSteps(nn::LSTM& trunk, const std::vector<nn::Matrix>& xs,
+                          const nn::Matrix& y, WfganEpochStats* stats);
+
+  /// Algorithm 2, lines 8-10, plus the supervised MSE term: accumulates one
+  /// minibatch's generator gradient into the trunk and this task's generator
+  /// layers. The caller zeroes, clips and steps the generator parameters.
+  /// Adds the MSE and the adversarial loss to *stats.
+  void GeneratorGradient(nn::LSTM& trunk, const std::vector<nn::Matrix>& xs,
+                         const nn::Matrix& y, WfganEpochStats* stats);
+
+  /// Attention (when used) and head; the trunk is the caller's.
+  std::vector<nn::Param> GeneratorParams();
+  /// Discriminator LSTM, attention (when used) and head.
+  std::vector<nn::Param> DiscriminatorParams();
+  /// GeneratorParams then DiscriminatorParams: the checkpoint layout.
+  std::vector<nn::Param> Params();
+
+ private:
+  /// Generator backward from dLoss/dForecast through the head, attention and
+  /// trunk (`steps` = trunk sequence length).
+  void GeneratorBackward(nn::LSTM& trunk, const nn::Matrix& grad_pred,
+                         size_t steps);
+  /// Discriminator backward; returns dLoss/dInput per step.
+  const std::vector<nn::Matrix>& DiscriminatorBackward(
+      const nn::Matrix& grad_logit, size_t steps);
+
+  WfganOptions gan_;
+  double grad_clip_;
+  nn::TemporalAttention attn_;
+  nn::Dense head_;
+  nn::LSTM d_lstm_;
+  nn::TemporalAttention d_attn_;
+  nn::Dense d_head_;
+  nn::Adam d_adam_;
+  // Minibatch workspaces reused across batches.
+  nn::Matrix grad_pred_, mse_grad_, grad_real_, grad_fake_, grad_logit_,
+      real_labels_, fake_labels_;
+  std::vector<nn::Matrix> xs_real_, xs_fake_;
+  std::vector<nn::Matrix> g_grad_hs_, d_grad_hs_;  // no-attention path
+};
+
+/// The single-task WFGAN forecaster: one generator LSTM trunk and one task.
+class WfganForecaster : public NeuralForecaster {
  public:
   WfganForecaster(const ForecasterOptions& opts, const WfganOptions& gan);
   explicit WfganForecaster(const ForecasterOptions& opts)
       : WfganForecaster(opts, WfganOptions{}) {}
 
-  Status Fit(const std::vector<double>& series) override;
-  StatusOr<double> Predict(const std::vector<double>& window) const override;
   std::string name() const override { return "WFGAN"; }
-  int64_t StorageBytes() const override;
-  int64_t ParameterCount() const override;
-
-  Status PrepareTraining(const std::vector<double>& series);
-  StatusOr<WfganEpochStats> TrainEpoch();
 
   /// Diagnostics from the most recent TrainEpoch.
   const WfganEpochStats& last_stats() const { return last_stats_; }
@@ -76,50 +137,21 @@ class WfganForecaster : public Forecaster {
                                       double value) const;
 
   /// All parameter tensors (generator then discriminator) — serialization.
-  std::vector<nn::Param> Params() const;
-
-  /// Lossless snapshot of both networks + scaler (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const override;
-  Status LoadState(const std::vector<uint8_t>& buffer) override;
+  std::vector<nn::Param> Params() const override;
 
  private:
-  /// Generator forward on a time-major batch; returns [batch, 1] forecasts
-  /// in scaled space (network-owned workspace, valid until the next call).
-  const nn::Matrix& GeneratorForward(const std::vector<nn::Matrix>& xs) const;
-  /// Generator backward from dLoss/dForecast.
-  void GeneratorBackward(const nn::Matrix& grad_pred, size_t steps,
-                         size_t batch) const;
-  /// Discriminator forward on a time-major batch of length T+1.
-  const nn::Matrix& DiscriminatorForward(
-      const std::vector<nn::Matrix>& xs) const;
-  /// Discriminator backward; returns dLoss/dInput per step (network-owned
-  /// workspace, valid until the next call).
-  const std::vector<nn::Matrix>& DiscriminatorBackward(
-      const nn::Matrix& grad_logit, size_t steps, size_t batch) const;
-  std::vector<nn::Param> GeneratorParams() const;
-  std::vector<nn::Param> DiscriminatorParams() const;
+  Status RunEpoch() override;
+  double PredictScaled(const nn::Matrix& window) const override;
 
-  ForecasterOptions opts_;
   WfganOptions gan_;
-  mutable Rng rng_;
-  // Generator.
-  mutable nn::LSTM g_lstm_;
-  mutable nn::TemporalAttention g_attn_;
-  mutable nn::Dense g_head_;
-  // Discriminator.
-  mutable nn::LSTM d_lstm_;
-  mutable nn::TemporalAttention d_attn_;
-  mutable nn::Dense d_head_;
-  nn::Adam g_adam_, d_adam_;
-  ts::MinMaxScaler scaler_;
-  std::vector<ts::WindowSample> train_samples_;
+  // Layers are mutable: forward passes cache activations even from const
+  // Predict. The trunk is constructed (draws its weights) before the task.
+  mutable nn::LSTM trunk_;
+  mutable WfganTask task_;
+  nn::Adam g_adam_;
   WfganEpochStats last_stats_;
-  // Batch workspaces reused across batches (mutable: used from const paths).
-  mutable nn::Matrix xb_, y_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
-      grad_logit_, real_labels_, fake_labels_;
-  mutable std::vector<nn::Matrix> xs_, xs_real_, xs_fake_;
-  mutable std::vector<nn::Matrix> g_grad_hs_, d_grad_hs_;  // no-attention path
-  bool fitted_ = false;
+  nn::Matrix xb_, y_;  // batch workspaces
+  std::vector<nn::Matrix> xs_;
 };
 
 }  // namespace dbaugur::models

@@ -4,20 +4,17 @@
 // attention layer, dense head, and discriminator ("the shallow network
 // parameters in the hidden layer will be shared by both forecasting models,
 // while their deep network parameters will be optimized separately").
+//
+// That is one LSTM trunk plus two WfganTask networks (wfgan.h), the same
+// GAN code as the single-task WfganForecaster. Each minibatch runs every
+// task's D-steps, then `g_steps` joint generator updates whose per-task
+// gradients accumulate into the shared trunk before one optimizer step.
 
 #pragma once
 
 #include <array>
 
-#include "common/rng.h"
-#include "models/forecaster.h"
 #include "models/wfgan.h"
-#include "nn/attention.h"
-#include "nn/dense.h"
-#include "nn/lstm.h"
-#include "nn/optimizer.h"
-#include "ts/scaler.h"
-#include "ts/window_dataset.h"
 
 namespace dbaugur::models {
 
@@ -28,7 +25,8 @@ class MultiTaskWfgan {
  public:
   MultiTaskWfgan(const ForecasterOptions& opts, const WfganOptions& gan);
 
-  /// Jointly trains on the query trace and the resource trace.
+  /// Jointly trains on the query trace and the resource trace. Each epoch
+  /// runs full minibatches only, as many as the shorter task fills.
   Status Fit(const std::vector<double>& query_series,
              const std::vector<double>& resource_series);
 
@@ -36,9 +34,11 @@ class MultiTaskWfgan {
   StatusOr<double> Predict(WorkloadTask task,
                            const std::vector<double>& window) const;
 
-  int64_t ParameterCount() const;
+  int64_t ParameterCount() const { return CountParameters(Params()); }
   /// Parameters in the shared trunk only (tests assert sharing is real).
-  int64_t SharedParameterCount() const;
+  int64_t SharedParameterCount() const {
+    return CountParameters(trunk_.Params());
+  }
 
   /// All parameter tensors (shared trunk, then per-task generator heads and
   /// discriminators in task order) — serialization.
@@ -46,49 +46,42 @@ class MultiTaskWfgan {
 
   /// Lossless snapshot of the trunk, both task networks, and both task
   /// scalers, restorable into a same-options MultiTaskWfgan without
-  /// retraining (serve/ system snapshots).
-  StatusOr<std::vector<uint8_t>> SaveState() const;
-  Status LoadState(const std::vector<uint8_t>& buffer);
+  /// retraining (serve/ system snapshots). Same format as a single-task
+  /// model's state, with two scalers.
+  StatusOr<std::vector<uint8_t>> SaveState() const {
+    return SerializeNeuralState({&tasks_[0].scaler, &tasks_[1].scaler},
+                                Params());
+  }
+  Status LoadState(const std::vector<uint8_t>& buffer) {
+    DBAUGUR_RETURN_IF_ERROR(DeserializeNeuralState(
+        buffer, {&tasks_[0].scaler, &tasks_[1].scaler}, Params()));
+    fitted_ = true;
+    return Status::OK();
+  }
 
  private:
-  struct TaskNet {
-    std::unique_ptr<nn::TemporalAttention> attn;
-    std::unique_ptr<nn::Dense> head;
-    std::unique_ptr<nn::LSTM> d_lstm;
-    std::unique_ptr<nn::TemporalAttention> d_attn;
-    std::unique_ptr<nn::Dense> d_head;
+  struct Task {
+    Task(const ForecasterOptions& opts, const WfganOptions& gan, Rng* rng)
+        : net(opts, gan, rng) {}
+    WfganTask net;
     ts::MinMaxScaler scaler;
     std::vector<ts::WindowSample> samples;
   };
-
-  const nn::Matrix& GenForward(TaskNet& t,
-                               const std::vector<nn::Matrix>& xs) const;
-  void GenBackward(TaskNet& t, const nn::Matrix& grad_pred, size_t steps,
-                   size_t batch) const;
-  const nn::Matrix& DiscForward(TaskNet& t,
-                                const std::vector<nn::Matrix>& xs) const;
-  const std::vector<nn::Matrix>& DiscBackward(TaskNet& t,
-                                              const nn::Matrix& grad,
-                                              size_t steps,
-                                              size_t batch) const;
-  std::vector<nn::Param> TaskGenParams(TaskNet& t) const;
-  std::vector<nn::Param> DiscParams(TaskNet& t) const;
 
   Status TrainEpoch();
 
   ForecasterOptions opts_;
   WfganOptions gan_;
-  mutable Rng rng_;
-  mutable nn::LSTM shared_lstm_;  // shared shallow trunk
-  mutable std::array<TaskNet, 2> tasks_;
+  Rng rng_;
+  // Mutable: forward passes cache activations even from const Predict. The
+  // trunk draws its weights first, then task 0, then task 1.
+  mutable nn::LSTM trunk_;
+  mutable std::array<Task, 2> tasks_;
   nn::Adam g_adam_;
-  std::array<nn::Adam, 2> d_adams_;
-  // Batch workspaces reused across batches (mutable: used from const paths).
-  mutable nn::Matrix xb_, grad_pred_, mse_grad_, grad_real_, grad_fake_,
-      grad_logit_, real_labels_, fake_labels_;
-  mutable std::array<nn::Matrix, 2> ys_;
-  mutable std::array<std::vector<nn::Matrix>, 2> xs_;
-  mutable std::vector<nn::Matrix> xs_real_, xs_fake_, grad_hs_;
+  // Batch workspaces reused across batches.
+  nn::Matrix xb_;
+  std::array<nn::Matrix, 2> ys_;
+  std::array<std::vector<nn::Matrix>, 2> xs_;
   bool fitted_ = false;
 };
 

@@ -102,32 +102,19 @@ size_t TraceIngestor::Drain(std::vector<TraceEvent>* out) {
   return batch.size();
 }
 
-namespace {
-// Floor division so pre-epoch timestamps bin consistently. The origin is
-// fixed at the epoch: binning must not depend on the first event a
-// particular service instance happened to see, or indices would shift after
-// a Save/Load into a service with a different start (boundary events would
-// then land one bin off).
-int64_t FloorDiv(int64_t a, int64_t b) {
-  int64_t q = a / b;
-  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
-  return q;
-}
-
-// Upper bound on the zero-filled range Traces() will materialize. With
-// quarantine upstream this should be unreachable; it is the defense-in-depth
-// stop against a garbage timestamp turning one Series into gigabytes.
-constexpr size_t kMaxMaterializedBins = 1u << 22;  // ~4M bins per template
-}  // namespace
-
 TraceBinner::TraceBinner(int64_t interval_seconds)
     : interval_(interval_seconds) {
   DBAUGUR_CHECK(interval_ > 0, "TraceBinner interval must be positive, got ",
                 interval_);
 }
 
+// Floor division so pre-epoch timestamps bin consistently. The origin is
+// fixed at the epoch: binning must not depend on the first event a
+// particular service instance happened to see, or indices would shift after
+// a Save/Load into a service with a different start (boundary events would
+// then land one bin off).
 int64_t TraceBinner::BinIndex(ts::Timestamp timestamp) const {
-  return FloorDiv(timestamp, interval_);
+  return ts::FloorDiv(timestamp, interval_);
 }
 
 void TraceBinner::Fold(const TraceEvent& event) {
@@ -158,12 +145,14 @@ StatusOr<std::vector<ts::Series>> TraceBinner::Traces() const {
   if (!any_) {
     return Status::FailedPrecondition("TraceBinner: no events folded yet");
   }
-  size_t len = bin_count();
-  if (len > kMaxMaterializedBins) {
+  // The zero-filled range is capped (defense in depth behind quarantine).
+  if (ts::BinRangeExceedsCap(min_bin_, max_bin_)) {
     return Status::FailedPrecondition(
         "TraceBinner: bin range too large to materialize (" +
-        std::to_string(len) + " bins) — garbage timestamp in the history?");
+        std::to_string(bin_count()) +
+        " bins) — garbage timestamp in the history?");
   }
+  size_t len = bin_count();
   ts::Timestamp start = min_bin_ * interval_;
   std::vector<ts::Series> traces;
   traces.reserve(bins_.size());
@@ -212,9 +201,7 @@ Status TraceBinner::Load(BufReader* r) {
   }
   // A range Traces() would refuse must be refused here: otherwise the
   // restore succeeds into a binner that can never materialize a trace again.
-  if (any == 1 && static_cast<uint64_t>(max_bin) -
-                          static_cast<uint64_t>(min_bin) >=
-                      kMaxMaterializedBins) {
+  if (any == 1 && ts::BinRangeExceedsCap(min_bin, max_bin)) {
     return Status::InvalidArgument(
         "TraceBinner: saved bin range too large to materialize");
   }

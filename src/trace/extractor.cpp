@@ -113,10 +113,7 @@ Status TraceExtractor::Ingest(const LogEntry& entry) {
   auto id = registry_.Record(entry.sql);
   if (!id.ok()) return id.status();
   if (*id >= bins_.size()) bins_.resize(*id + 1);
-  int64_t bin = entry.timestamp / opts_.interval_seconds;
-  if (entry.timestamp < 0 && entry.timestamp % opts_.interval_seconds != 0) {
-    --bin;  // floor division for negative timestamps
-  }
+  int64_t bin = ts::FloorDiv(entry.timestamp, opts_.interval_seconds);
   bins_[*id][bin] += 1.0;
   if (max_bin_ < min_bin_) {
     min_bin_ = max_bin_ = bin;
@@ -145,6 +142,11 @@ Status TraceExtractor::IngestLog(const std::vector<LogEntry>& entries) {
 StatusOr<std::vector<ts::Series>> TraceExtractor::TemplateTraces() const {
   if (entry_count_ == 0) {
     return Status::FailedPrecondition("no log entries ingested");
+  }
+  if (ts::BinRangeExceedsCap(min_bin_, max_bin_)) {
+    return Status::InvalidArgument(
+        "log timestamps span more than " + std::to_string(ts::kMaxTraceBins) +
+        " intervals; refusing to materialize the traces");
   }
   size_t len = static_cast<size_t>(max_bin_ - min_bin_ + 1);
   std::vector<ts::Series> out;
@@ -176,18 +178,26 @@ StatusOr<ts::Series> BinResourceSamples(
   if (interval_seconds <= 0) {
     return Status::InvalidArgument("interval must be positive");
   }
-  int64_t min_bin = samples[0].timestamp / interval_seconds;
+  // Floor division, as TraceExtractor bins queries: a pre-epoch resource
+  // trace must align with the query traces of the same time range.
+  int64_t min_bin = ts::FloorDiv(samples[0].timestamp, interval_seconds);
   int64_t max_bin = min_bin;
   for (const auto& s : samples) {
-    int64_t bin = s.timestamp / interval_seconds;
+    int64_t bin = ts::FloorDiv(s.timestamp, interval_seconds);
     min_bin = std::min(min_bin, bin);
     max_bin = std::max(max_bin, bin);
+  }
+  if (ts::BinRangeExceedsCap(min_bin, max_bin)) {
+    return Status::InvalidArgument(
+        "resource timestamps span more than " +
+        std::to_string(ts::kMaxTraceBins) + " intervals");
   }
   size_t len = static_cast<size_t>(max_bin - min_bin + 1);
   std::vector<double> sums(len, 0.0);
   std::vector<int64_t> counts(len, 0);
   for (const auto& s : samples) {
-    size_t i = static_cast<size_t>(s.timestamp / interval_seconds - min_bin);
+    size_t i = static_cast<size_t>(
+        ts::FloorDiv(s.timestamp, interval_seconds) - min_bin);
     sums[i] += s.value;
     counts[i] += 1;
   }

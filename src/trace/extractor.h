@@ -75,7 +75,8 @@ class TraceExtractor {
   bool IngestLenient(const LogEntry& entry);
 
   /// One arrival-rate Series per template id, all aligned to the same start
-  /// and length (bins with no occurrences are zero).
+  /// and length (bins with no occurrences are zero). InvalidArgument when the
+  /// timestamps span more than ts::kMaxTraceBins intervals.
   StatusOr<std::vector<ts::Series>> TemplateTraces() const;
 
   /// Total arrival-rate trace across all templates.
@@ -104,7 +105,10 @@ struct ResourceSample {
 
 /// Bins resource samples to a utilization Series by averaging within each
 /// interval; empty bins carry the previous bin's value (metrics are sampled
-/// state, not counts).
+/// state, not counts). Bins are floor(timestamp / interval), as in
+/// TraceExtractor, so both trace kinds align over the same range.
+/// InvalidArgument when the samples span more than ts::kMaxTraceBins
+/// intervals.
 StatusOr<ts::Series> BinResourceSamples(const std::vector<ResourceSample>& samples,
                                         int64_t interval_seconds,
                                         std::string name = "resource");

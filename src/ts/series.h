@@ -74,6 +74,28 @@ class Series {
   std::string name_;
 };
 
+/// Most bins per template that any trace materializer (trace::TraceExtractor,
+/// trace::BinResourceSamples, serve::TraceBinner) zero-fills (~4M). A wider
+/// [first, last] bin range is refused with an error, so one garbage
+/// timestamp cannot turn a trace into gigabytes.
+inline constexpr size_t kMaxTraceBins = size_t{1} << 22;
+
+/// Whether the bin range [min_bin, max_bin] (min_bin <= max_bin) holds more
+/// than kMaxTraceBins bins. Unsigned arithmetic: the span of a pathological
+/// range neither overflows a signed integer nor wraps to a small count.
+inline bool BinRangeExceedsCap(int64_t min_bin, int64_t max_bin) {
+  return static_cast<uint64_t>(max_bin) - static_cast<uint64_t>(min_bin) >=
+         kMaxTraceBins;
+}
+
+/// floor(a / b) for b != 0: the bin of timestamp `a` at interval `b`, so
+/// pre-epoch timestamps bin downwards (-5 s at interval 10 is bin -1).
+inline int64_t FloorDiv(int64_t a, int64_t b) {
+  int64_t q = a / b;
+  if ((a % b != 0) && ((a < 0) != (b < 0))) --q;
+  return q;
+}
+
 /// Applies first-order differencing d times (ARIMA's "I"). Output is shorter
 /// by d samples.
 std::vector<double> Difference(const std::vector<double>& v, int d);

@@ -6,6 +6,7 @@
 
 #include <cmath>
 
+#include "common/binio.h"
 #include "common/rng.h"
 #include "models/lstm_forecaster.h"
 #include "models/mlp.h"
@@ -183,8 +184,8 @@ TEST(WfganTest, EpochStatsAreFinite) {
   opts.epochs = 2;
   WfganForecaster gan(opts);
   ASSERT_TRUE(gan.PrepareTraining(series).ok());
-  auto stats = gan.TrainEpoch();
-  ASSERT_TRUE(stats.ok());
+  ASSERT_TRUE(gan.TrainEpoch().ok());
+  const WfganEpochStats* stats = &gan.last_stats();
   EXPECT_TRUE(std::isfinite(stats->d_loss));
   EXPECT_TRUE(std::isfinite(stats->g_adv));
   EXPECT_TRUE(std::isfinite(stats->g_mse));
@@ -289,6 +290,28 @@ TEST(MultiTaskWfganTest, StateRoundTripRestoresBothTasksExactly) {
   EXPECT_FALSE(fresh.LoadState(cut).ok());
   EXPECT_EQ(fresh.Predict(WorkloadTask::kQuery, qw).status().code(),
             StatusCode::kFailedPrecondition);
+}
+
+TEST(MultiTaskWfganTest, HonoursDiscriminatorAndGeneratorSteps) {
+  auto query = SineSeries(200, 48.0, 0.1, 49);
+  std::vector<double> resource(query.size());
+  for (size_t i = 0; i < query.size(); ++i) resource[i] = 0.3 + 0.04 * query[i];
+  ForecasterOptions opts = FastOpts(1);
+  opts.epochs = 2;
+  auto state_crc = [&](size_t d_steps, size_t g_steps) {
+    WfganOptions gan;
+    gan.d_steps = d_steps;
+    gan.g_steps = g_steps;
+    MultiTaskWfgan mtl(opts, gan);
+    EXPECT_TRUE(mtl.Fit(query, resource).ok());
+    auto blob = mtl.SaveState();
+    EXPECT_TRUE(blob.ok());
+    return blob.ok() ? Crc32(blob->data(), blob->size()) : 0u;
+  };
+  uint32_t base = state_crc(1, 1);
+  EXPECT_EQ(state_crc(1, 1), base);  // deterministic, so the diffs count
+  EXPECT_NE(state_crc(2, 1), base);
+  EXPECT_NE(state_crc(1, 2), base);
 }
 
 TEST(MultiTaskWfganTest, PredictBeforeFitFails) {

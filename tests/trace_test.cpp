@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "trace/extractor.h"
@@ -221,6 +222,64 @@ TEST(TraceExtractorTest, IngestLenientCountsRejectedStatements) {
   EXPECT_EQ(ex.entry_count(), 2u);
   EXPECT_EQ(ex.rejected_statements(), 2u);
   EXPECT_EQ(ex.registry().size(), 1u);  // both good statements share a template
+}
+
+TEST(TraceExtractorTest, RefusesTimestampRangeBeyondBinCap) {
+  // Both timestamps parse; at interval 1 their span would need 2^62 bins.
+  auto log = ParseQueryLog(
+      "0 SELECT * FROM t WHERE id = 1\n"
+      "4611686018427387904 SELECT * FROM t WHERE id = 2\n");
+  ASSERT_TRUE(log.ok());
+  ExtractionOptions opts;
+  opts.interval_seconds = 1;
+  TraceExtractor ex(opts);
+  ASSERT_TRUE(ex.IngestLog(*log).ok());
+  EXPECT_EQ(ex.TemplateTraces().status().code(), StatusCode::kInvalidArgument);
+  EXPECT_FALSE(ex.TotalTrace().ok());
+
+  // The extremes of int64 (a span that wraps an unsigned bin count to 0).
+  TraceExtractor extremes(opts);
+  ASSERT_TRUE(extremes.Ingest({INT64_MIN, "SELECT 1 FROM t"}).ok());
+  ASSERT_TRUE(extremes.Ingest({INT64_MAX, "SELECT 1 FROM t"}).ok());
+  EXPECT_FALSE(extremes.TemplateTraces().ok());
+
+  // Exactly at the cap still materializes.
+  TraceExtractor at_cap(opts);
+  const int64_t last = static_cast<int64_t>(ts::kMaxTraceBins) - 1;
+  ASSERT_TRUE(at_cap.Ingest({0, "SELECT 1 FROM t"}).ok());
+  ASSERT_TRUE(at_cap.Ingest({last, "SELECT 1 FROM t"}).ok());
+  auto traces = at_cap.TemplateTraces();
+  ASSERT_TRUE(traces.ok());
+  EXPECT_EQ((*traces)[0].size(), ts::kMaxTraceBins);
+}
+
+TEST(BinResourceSamplesTest, RefusesRangeBeyondBinCap) {
+  EXPECT_EQ(BinResourceSamples({{0, 0.5}, {int64_t{1} << 40, 0.5}}, 1)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_FALSE(BinResourceSamples({{INT64_MIN + 1, 0.5}, {INT64_MAX, 0.5}}, 1)
+                   .ok());
+}
+
+TEST(BinResourceSamplesTest, PreEpochSamplesFloorLikeQueryTraces) {
+  // -5 s and 5 s at interval 10 are bins -1 and 0, as the extractor bins them.
+  auto res = BinResourceSamples({{-5, 0.2}, {5, 0.4}}, 10);
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res->size(), 2u);
+  EXPECT_EQ(res->start(), -10);
+  EXPECT_DOUBLE_EQ((*res)[0], 0.2);
+  EXPECT_DOUBLE_EQ((*res)[1], 0.4);
+
+  ExtractionOptions opts;
+  opts.interval_seconds = 10;
+  TraceExtractor ex(opts);
+  ASSERT_TRUE(ex.Ingest({-5, "SELECT 1 FROM t"}).ok());
+  ASSERT_TRUE(ex.Ingest({5, "SELECT 1 FROM t"}).ok());
+  auto query = ex.TotalTrace();
+  ASSERT_TRUE(query.ok());
+  EXPECT_EQ(query->start(), res->start());
+  EXPECT_EQ(query->size(), res->size());
 }
 
 }  // namespace

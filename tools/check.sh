@@ -138,6 +138,23 @@ else
   record "ablation_clustering-smoke" "SKIPPED (Release build failed)"
 fi
 
+# --- 1f. Model benches: table2_efficiency drives every neural model's
+# PrepareTraining/TrainEpoch and Fit; ablation_wfgan trains every WFGAN
+# variant and the multi-task WFGAN and exits 1 if any MSE it prints is not
+# finite. Neither is a ctest, so without this stage nothing runs them.
+for model_bench in table2_efficiency ablation_wfgan; do
+  if [[ -x build-release/bench/$model_bench ]]; then
+    note "bench/$model_bench (Release)"
+    if ./build-release/bench/$model_bench > /dev/null; then
+      record "$model_bench" "OK"
+    else
+      record "$model_bench" "FAIL"
+    fi
+  else
+    record "$model_bench" "SKIPPED (Release build failed)"
+  fi
+done
+
 # --- 2. ASan + UBSan. --------------------------------------------------------
 export UBSAN_OPTIONS="print_stacktrace=1:${UBSAN_OPTIONS:-}"
 build_and_test "asan+ubsan" build-asan \
